@@ -27,7 +27,7 @@
 //   eventlog [n]               newest n structured events (default 20)
 //   eventlog save <path>       event log as JSON
 //   dag                        step DAG + critical path of the last
-//                              command train run by the DAG executor
+//                              command train
 //   schedule <a> <b> <tb> <hours>   deadline-driven bulk transfer (BoD)
 //   transfers                  bulk-transfer status table
 //   reserve <link> <gbps> <start-s> <end-s>   advance calendar reservation
@@ -371,8 +371,7 @@ int main() {
     } else if (cmd == "dag") {
       const auto& report = s.controller->last_dag_report();
       out << (report.steps.empty()
-                  ? "  no DAG command train recorded yet (run a connect "
-                    "with the default executor)\n"
+                  ? "  no command train recorded yet (run a connect)\n"
                   : core::render_dag(report));
     } else if (cmd == "schedule") {
       std::size_t a = 0, b = 0;

@@ -323,9 +323,7 @@ struct GriphonController::RunState {
   RunDone done;
   std::vector<std::size_t> succeeded;
   Status first_error = Status::success();
-  std::size_t outstanding = 0;       // pipelined mode
   std::uint64_t parent_span = 0;     // 0 = no per-command spans
-  // DAG mode:
   std::unique_ptr<StepDag> dag;
   std::unique_ptr<DagScheduler> sched;
   std::vector<std::string> domains;  // per-step EMS domain
@@ -334,19 +332,11 @@ struct GriphonController::RunState {
   bool done_called = false;
 };
 
-void GriphonController::run_steps(std::shared_ptr<StepList> steps,
+void GriphonController::run_steps(std::shared_ptr<StepList> train,
                                   bool best_effort, RunDone done,
                                   std::uint64_t parent_span) {
-  run_steps_as(params_.exec_mode, std::move(steps), best_effort,
-               std::move(done), parent_span);
-}
-
-void GriphonController::run_steps_as(ExecMode mode,
-                                     std::shared_ptr<StepList> steps,
-                                     bool best_effort, RunDone done,
-                                     std::uint64_t parent_span) {
   auto state = std::make_shared<RunState>();
-  state->steps = std::move(steps);
+  state->steps = std::move(train);
   state->best_effort = best_effort;
   state->done = std::move(done);
   if (model_->telemetry() != nullptr) state->parent_span = parent_span;
@@ -354,88 +344,11 @@ void GriphonController::run_steps_as(ExecMode mode,
     state->done(Status::success(), {});
     return;
   }
-  switch (mode) {
-    case ExecMode::kSequential:
-      run_steps_sequential(state, 0);
-      break;
-    case ExecMode::kPipelined:
-      run_steps_pipelined(state);
-      break;
-    case ExecMode::kDag:
-      run_steps_dag(state);
-      break;
-  }
-}
-
-void GriphonController::run_steps_sequential(std::shared_ptr<RunState> state,
-                                             std::size_t at) {
-  if (at >= state->steps->size()) {
-    state->done(state->first_error, std::move(state->succeeded));
-    return;
-  }
-  Step& step = (*state->steps)[at];
-  ++stats_.commands_issued;
-  std::uint64_t span = 0;
-  if (state->parent_span != 0) {
-    if (telemetry::Telemetry* t = model_->telemetry()) {
-      const SpanLabel label = span_label(step.forward);
-      span = t->span_start(label.name, label.actor, 0, state->parent_span);
-    }
-  }
-  issue_command(step.client, step.forward, [this, state, at, span](
-                                               Result<proto::Response> r) {
-    const Status s = response_to_status(r);
-    if (span != 0)
-      if (telemetry::Telemetry* t = model_->telemetry())
-        t->span_end(span, s.ok(),
-                    s.ok() ? std::string{} : s.error().message());
-    if (s.ok()) {
-      state->succeeded.push_back(at);
-    } else {
-      if (state->first_error.ok()) state->first_error = s;
-      if (!state->best_effort) {
-        state->done(state->first_error, std::move(state->succeeded));
-        return;
-      }
-    }
-    run_steps_sequential(state, at + 1);
-  });
-}
-
-void GriphonController::run_steps_pipelined(std::shared_ptr<RunState> state) {
-  state->outstanding = state->steps->size();
-  for (std::size_t i = 0; i < state->steps->size(); ++i) {
-    ++stats_.commands_issued;
-    std::uint64_t span = 0;
-    if (state->parent_span != 0) {
-      if (telemetry::Telemetry* t = model_->telemetry()) {
-        const SpanLabel label = span_label((*state->steps)[i].forward);
-        span = t->span_start(label.name, label.actor, 0, state->parent_span);
-      }
-    }
-    issue_command(
-        (*state->steps)[i].client, (*state->steps)[i].forward,
-        [this, state, i, span](Result<proto::Response> r) {
-          const Status s = response_to_status(r);
-          if (span != 0)
-            if (telemetry::Telemetry* t = model_->telemetry())
-              t->span_end(span, s.ok(),
-                          s.ok() ? std::string{} : s.error().message());
-          if (s.ok())
-            state->succeeded.push_back(i);
-          else if (state->first_error.ok())
-            state->first_error = s;
-          if (--state->outstanding == 0) {
-            std::sort(state->succeeded.begin(), state->succeeded.end());
-            state->done(state->first_error, std::move(state->succeeded));
-          }
-        });
-  }
-}
-
-void GriphonController::run_steps_dag(std::shared_ptr<RunState> state) {
   const StepList& steps = *state->steps;
-  state->dag = std::make_unique<StepDag>(steps);
+  // Sequential mode chains every step to the one before it: one dialogue
+  // in flight, nothing ready to batch alongside it.
+  state->dag = std::make_unique<StepDag>(
+      steps, params_.exec_mode == ExecMode::kSequential);
   state->domains.reserve(steps.size());
   for (const Step& s : steps) state->domains.push_back(domain_of(s.client));
   state->sched = std::make_unique<DagScheduler>(
@@ -557,19 +470,13 @@ void GriphonController::rollback_steps(std::shared_ptr<StepList> steps,
   // Reverse completion order with reverse dependency edges: an undo may
   // only run once the undos of everything that depended on its forward
   // step are done (a cross-connect is removed before the port under it is
-  // disabled). The sequential executor honors this by list order; the
-  // pipelined ablation would not, so rollback always runs on the DAG
-  // executor when any concurrency is enabled.
+  // disabled).
   auto undo =
       std::make_shared<StepList>(build_undo_steps(*steps, succeeded));
-  const ExecMode mode = params_.exec_mode == ExecMode::kSequential
-                            ? ExecMode::kSequential
-                            : ExecMode::kDag;
-  run_steps_as(mode, std::move(undo), /*best_effort=*/true,
-               [done = std::move(done)](Status, std::vector<std::size_t>) {
-                 done();
-               },
-               /*parent_span=*/0);
+  run_steps(std::move(undo), /*best_effort=*/true,
+            [done = std::move(done)](Status, std::vector<std::size_t>) {
+              done();
+            });
 }
 
 Status GriphonController::admit_optical_plan(const WavelengthPlan& plan,
@@ -2269,25 +2176,34 @@ void GriphonController::roll_to_plan(ConnectionId id,
       // Old endpoint optics the new plan no longer uses go back to idle,
       // not just dark: a completed roll must leave no tuned-but-unowned
       // residue for resync to sweep. Deactivate steps sit first in the
-      // teardown (tear_base + 0 / + 1).
+      // teardown (tear_base + 0 / + 1). Deactivation alone returns an OT
+      // to the free pool, so each stays reserved until the train is done:
+      // a setup that picked it in between would have it reset under it.
       auto* roadm = &model_->roadm_ems_client();
-      if (old_plan.src_ot != new_plan.src_ot)
+      std::vector<TransponderId> resets;
+      if (old_plan.src_ot != new_plan.src_ot) {
         post->push_back(Step{roadm,
                              proto::OtSetState{old_plan.src_ot,
                                                proto::OtSetState::Action::kReset},
                              std::nullopt, {tear_base}});
-      if (old_plan.dst_ot != new_plan.dst_ot)
+        resets.push_back(old_plan.src_ot);
+      }
+      if (old_plan.dst_ot != new_plan.dst_ot) {
         post->push_back(Step{roadm,
                              proto::OtSetState{old_plan.dst_ot,
                                                proto::OtSetState::Action::kReset},
                              std::nullopt, {tear_base + 1}});
+        resets.push_back(old_plan.dst_ot);
+      }
+      for (const TransponderId ot : resets) inventory_.reserve_ot(ot);
       std::uint64_t repatch_span = 0;
       if (telemetry::Telemetry* t = model_->telemetry())
         repatch_span =
             t->span_start("repatch_teardown", "controller", 0, c->op_span);
-      run_steps(post, true, [this, id, repatch_span, roll_span,
+      run_steps(post, true, [this, id, repatch_span, roll_span, resets,
                              cb = std::move(cb)](
                                 Status, std::vector<std::size_t>) mutable {
+        for (const TransponderId ot : resets) inventory_.release_ot(ot);
         Connection* c = find_conn(id);
         if (c != nullptr && c->state == ConnectionState::kRolling)
           c->state = ConnectionState::kActive;

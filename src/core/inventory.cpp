@@ -25,7 +25,6 @@ void Inventory::attach_device_listeners(NetworkModel* model) {
 }
 
 void Inventory::on_ot_changed(const dwdm::Transponder& ot) {
-  MutexLock lock(&mu_);
   if (!built_) return;  // the next snapshot() scans from scratch anyway
   if (ot_is_free(ot))
     detail::bit_set(ot_device_free_bits_, ot.id().value());
@@ -39,7 +38,6 @@ void Inventory::on_ot_changed(const dwdm::Transponder& ot) {
 }
 
 void Inventory::on_regen_changed(const dwdm::Regenerator& regen) {
-  MutexLock lock(&mu_);
   if (!built_) return;
   if (!regen.in_use())
     detail::bit_set(regen_device_free_bits_, regen.id().value());
@@ -98,15 +96,14 @@ std::size_t Inventory::Snapshot::free_regen_count(NodeId node,
 
 // --- reservation overlay ----------------------------------------------------
 
-dwdm::ChannelSet& Inventory::reserved_on_locked(LinkId link) {
+dwdm::ChannelSet& Inventory::reserved_on(LinkId link) {
   if (link.value() >= reserved_by_link_.size())
     reserved_by_link_.resize(link.value() + 1);
   return reserved_by_link_[link.value()];
 }
 
 void Inventory::reserve_channel(LinkId link, dwdm::ChannelIndex ch) {
-  MutexLock lock(&mu_);
-  dwdm::ChannelSet& set = reserved_on_locked(link);
+  dwdm::ChannelSet& set = reserved_on(link);
   if (!set.contains(ch)) {
     set.add(ch);
     ++channel_reservation_count_;
@@ -117,7 +114,6 @@ void Inventory::reserve_channel(LinkId link, dwdm::ChannelIndex ch) {
 }
 
 void Inventory::release_channel(LinkId link, dwdm::ChannelIndex ch) {
-  MutexLock lock(&mu_);
   if (link.value() >= reserved_by_link_.size()) return;
   dwdm::ChannelSet& set = reserved_by_link_[link.value()];
   if (set.contains(ch)) {
@@ -131,19 +127,12 @@ void Inventory::release_channel(LinkId link, dwdm::ChannelIndex ch) {
   }
 }
 
-bool Inventory::channel_reserved_locked(LinkId link,
-                                        dwdm::ChannelIndex ch) const {
+bool Inventory::channel_reserved(LinkId link, dwdm::ChannelIndex ch) const {
   return link.value() < reserved_by_link_.size() &&
          reserved_by_link_[link.value()].contains(ch);
 }
 
-bool Inventory::channel_reserved(LinkId link, dwdm::ChannelIndex ch) const {
-  MutexLock lock(&mu_);
-  return channel_reserved_locked(link, ch);
-}
-
 void Inventory::reserve_ot(TransponderId id) {
-  MutexLock lock(&mu_);
   if (!detail::bit_test(reserved_ot_bits_, id.value())) {
     detail::bit_set(reserved_ot_bits_, id.value());
     ++reserved_ot_count_;
@@ -152,7 +141,6 @@ void Inventory::reserve_ot(TransponderId id) {
 }
 
 void Inventory::release_ot(TransponderId id) {
-  MutexLock lock(&mu_);
   if (detail::bit_test(reserved_ot_bits_, id.value())) {
     detail::bit_clear(reserved_ot_bits_, id.value());
     --reserved_ot_count_;
@@ -160,17 +148,11 @@ void Inventory::release_ot(TransponderId id) {
   }
 }
 
-bool Inventory::ot_reserved_locked(TransponderId id) const {
+bool Inventory::ot_reserved(TransponderId id) const {
   return detail::bit_test(reserved_ot_bits_, id.value());
 }
 
-bool Inventory::ot_reserved(TransponderId id) const {
-  MutexLock lock(&mu_);
-  return ot_reserved_locked(id);
-}
-
 void Inventory::reserve_regen(RegenId id) {
-  MutexLock lock(&mu_);
   if (!detail::bit_test(reserved_regen_bits_, id.value())) {
     detail::bit_set(reserved_regen_bits_, id.value());
     ++reserved_regen_count_;
@@ -179,7 +161,6 @@ void Inventory::reserve_regen(RegenId id) {
 }
 
 void Inventory::release_regen(RegenId id) {
-  MutexLock lock(&mu_);
   if (detail::bit_test(reserved_regen_bits_, id.value())) {
     detail::bit_clear(reserved_regen_bits_, id.value());
     --reserved_regen_count_;
@@ -187,17 +168,11 @@ void Inventory::release_regen(RegenId id) {
   }
 }
 
-bool Inventory::regen_reserved_locked(RegenId id) const {
+bool Inventory::regen_reserved(RegenId id) const {
   return detail::bit_test(reserved_regen_bits_, id.value());
 }
 
-bool Inventory::regen_reserved(RegenId id) const {
-  MutexLock lock(&mu_);
-  return regen_reserved_locked(id);
-}
-
 std::size_t Inventory::reservations() const {
-  MutexLock lock(&mu_);
   return channel_reservation_count_ + reserved_ot_count_ +
          reserved_regen_count_;
 }
@@ -219,13 +194,12 @@ dwdm::ChannelSet Inventory::device_availability(LinkId link) const {
 
 dwdm::ChannelSet Inventory::available_on_link(LinkId link) const {
   dwdm::ChannelSet set = device_availability(link);
-  MutexLock lock(&mu_);
   if (link.value() < reserved_by_link_.size())
     set.subtract(reserved_by_link_[link.value()]);
   return set;
 }
 
-void Inventory::ensure_pools_locked() const {
+void Inventory::ensure_pools() const {
   const auto& ots = model_->ots();
   const auto& regens = model_->regens();
   const std::size_t sites = model_->graph().nodes().size();
@@ -258,8 +232,7 @@ void Inventory::ensure_pools_locked() const {
 
 std::optional<TransponderId> Inventory::find_free_ot(NodeId node,
                                                      DataRate min_rate) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
+  ensure_pools();
   if (node.value() >= pools_->ots_by_site.size()) return std::nullopt;
   // The pool is sorted by (line_rate, id): the first free adequate entry
   // is the smallest adequate line rate — don't burn a 40G transponder on
@@ -267,19 +240,18 @@ std::optional<TransponderId> Inventory::find_free_ot(NodeId node,
   for (const Snapshot::OtEntry& e : pools_->ots_by_site[node.value()]) {
     if (e.rate < min_rate) continue;
     if (!ot_is_free(*e.dev)) continue;
-    if (ot_reserved_locked(e.id)) continue;
+    if (ot_reserved(e.id)) continue;
     return e.id;
   }
   return std::nullopt;
 }
 
 std::size_t Inventory::free_ot_count(NodeId node, DataRate min_rate) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
+  ensure_pools();
   if (node.value() >= pools_->ots_by_site.size()) return 0;
   std::size_t n = 0;
   for (const Snapshot::OtEntry& e : pools_->ots_by_site[node.value()]) {
-    if (e.rate >= min_rate && ot_is_free(*e.dev) && !ot_reserved_locked(e.id))
+    if (e.rate >= min_rate && ot_is_free(*e.dev) && !ot_reserved(e.id))
       ++n;
   }
   return n;
@@ -287,14 +259,13 @@ std::size_t Inventory::free_ot_count(NodeId node, DataRate min_rate) const {
 
 std::optional<RegenId> Inventory::find_free_regen(
     NodeId node, DataRate min_rate, const std::set<RegenId>& exclude) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
+  ensure_pools();
   if (node.value() >= pools_->regens_by_site.size()) return std::nullopt;
   for (const Snapshot::RegenEntry& e :
        pools_->regens_by_site[node.value()]) {
     if (e.dev->in_use()) continue;
     if (e.rate < min_rate) continue;
-    if (regen_reserved_locked(e.id)) continue;
+    if (regen_reserved(e.id)) continue;
     if (exclude.contains(e.id)) continue;
     return e.id;
   }
@@ -302,20 +273,19 @@ std::optional<RegenId> Inventory::find_free_regen(
 }
 
 std::size_t Inventory::free_regen_count(NodeId node, DataRate min_rate) const {
-  MutexLock lock(&mu_);
-  ensure_pools_locked();
+  ensure_pools();
   if (node.value() >= pools_->regens_by_site.size()) return 0;
   std::size_t n = 0;
   for (const Snapshot::RegenEntry& e :
        pools_->regens_by_site[node.value()]) {
     if (!e.dev->in_use() && e.rate >= min_rate &&
-        !regen_reserved_locked(e.id))
+        !regen_reserved(e.id))
       ++n;
   }
   return n;
 }
 
-void Inventory::ensure_usage_locked() const {
+void Inventory::ensure_usage() const {
   const std::uint64_t version = model_->plant_version();
   if (usage_ && usage_version_ == version) return;
   // Build into a local, then swap in: published snapshots share the old
@@ -334,17 +304,16 @@ void Inventory::ensure_usage_locked() const {
 }
 
 std::size_t Inventory::channel_usage(dwdm::ChannelIndex ch) const {
-  MutexLock lock(&mu_);
-  ensure_usage_locked();
+  ensure_usage();
   if (ch < 0 || static_cast<std::size_t>(ch) >= usage_->size()) return 0;
   return (*usage_)[static_cast<std::size_t>(ch)];
 }
 
 // --- snapshot publish path --------------------------------------------------
 
-void Inventory::rebuild_locked() const {
-  ensure_pools_locked();
-  ensure_usage_locked();
+void Inventory::rebuild() const {
+  ensure_pools();
+  ensure_usage();
   const auto& links = model_->graph().links();
   device_avail_.assign(links.size(), {});
   net_avail_.assign(links.size(), {});
@@ -368,7 +337,7 @@ void Inventory::rebuild_locked() const {
   built_ = true;
 }
 
-void Inventory::publish_locked() const {
+void Inventory::publish() const {
   auto snap = std::shared_ptr<Snapshot>(new Snapshot());
   snap->avail_ = net_avail_;
   snap->pools_ = pools_;
@@ -389,12 +358,12 @@ void Inventory::publish_locked() const {
   snap->publish_seq_ = ++publish_seq_;
   snap->reservations_ = channel_reservation_count_ + reserved_ot_count_ +
                         reserved_regen_count_;
-  published_ = std::move(snap);
   overlay_dirty_ = false;
+  MutexLock lock(&published_mu_);
+  published_ = std::move(snap);
 }
 
 std::shared_ptr<const Inventory::Snapshot> Inventory::snapshot() const {
-  MutexLock lock(&mu_);
   const bool pools_current =
       pools_ && pools_->ot_count == model_->ots().size() &&
       pools_->regen_count == model_->regens().size() &&
@@ -403,14 +372,14 @@ std::shared_ptr<const Inventory::Snapshot> Inventory::snapshot() const {
                      built_plant_version_ != model_->plant_version() ||
                      built_topology_version_ != model_->topology_version() ||
                      built_device_version_ != model_->device_version();
-  if (stale) rebuild_locked();
-  if (stale || overlay_dirty_ || !published_) publish_locked();
-  return published_;
+  if (stale) rebuild();
+  if (stale || overlay_dirty_ || publish_seq_ == 0) publish();
+  return published_snapshot();
 }
 
 std::shared_ptr<const Inventory::Snapshot> Inventory::published_snapshot()
     const {
-  MutexLock lock(&mu_);
+  MutexLock lock(&published_mu_);
   return published_;
 }
 

@@ -17,15 +17,15 @@
 //    policies is cached and invalidated by the model's plant version
 //    (O(1) amortized instead of O(links) per queried channel).
 //
-// Concurrency (DESIGN.md §15): every member is guarded by `mu_`, and the
-// read side for future parallel RWA workers is the immutable
-// `Inventory::Snapshot` — a versioned, copy-on-publish view assembled
-// under the lock and handed out as shared_ptr<const>. Mutators keep the
-// snapshot ingredients up to date incrementally (O(1) per overlay change);
-// `snapshot()` re-publishes only when something actually moved. Readers on
-// other threads use `published_snapshot()`, which never touches the
-// NetworkModel — only the owner thread (the one mutating the model)
-// may call `snapshot()`.
+// Concurrency (DESIGN.md §15): everything is owner-thread state (the
+// thread that mutates the NetworkModel) except the published-snapshot
+// pointer. The read side for other threads is the immutable
+// `Inventory::Snapshot` — a versioned, copy-on-publish view handed out as
+// shared_ptr<const>. Mutators keep the snapshot ingredients up to date
+// incrementally (O(1) per overlay change); `snapshot()` re-publishes only
+// when something actually moved. Readers on other threads use
+// `published_snapshot()`, which never touches the NetworkModel; only the
+// pointer swap behind it is locked.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ class Inventory {
   /// Immutable, versioned read view of planning state: per-link channel
   /// availability (device state minus reservations), free-OT/regen
   /// bitmaps over (rate, id)-sorted site pools, and the per-channel usage
-  /// table. Built copy-on-publish under the inventory lock; once handed
+  /// table. Built copy-on-publish by the owner thread; once handed
   /// out it is never written again, so any number of threads may read it
   /// without synchronization, and it never dereferences the NetworkModel.
   class Snapshot {
@@ -159,53 +159,48 @@ class Inventory {
 
   /// Register for per-device change callbacks on `model` (the same
   /// deployment this inventory reads). From then on OT/regen lifecycle
-  /// transitions update the snapshot free bitmaps in O(1) under the lock
-  /// instead of forcing a full pool re-scan on the next snapshot() —
-  /// device-only churn (tune/activate/release trains) re-publishes
-  /// without ever touching the model. The model has one observer slot;
+  /// transitions update the snapshot free bitmaps in O(1) instead of
+  /// forcing a full pool re-scan on the next snapshot() — device-only
+  /// churn (tune/activate/release trains) re-publishes without ever
+  /// touching the model. The model has one observer slot;
   /// the controller's inventory claims it, and the destructor detaches.
-  void attach_device_listeners(NetworkModel* model) EXCLUDES(mu_);
+  void attach_device_listeners(NetworkModel* model);
 
   // --- reservation overlay ------------------------------------------------
-  void reserve_channel(LinkId link, dwdm::ChannelIndex ch) EXCLUDES(mu_);
-  void release_channel(LinkId link, dwdm::ChannelIndex ch) EXCLUDES(mu_);
+  void reserve_channel(LinkId link, dwdm::ChannelIndex ch);
+  void release_channel(LinkId link, dwdm::ChannelIndex ch);
   [[nodiscard]] bool channel_reserved(LinkId link,
-                                      dwdm::ChannelIndex ch) const
-      EXCLUDES(mu_);
-  void reserve_ot(TransponderId id) EXCLUDES(mu_);
-  void release_ot(TransponderId id) EXCLUDES(mu_);
-  [[nodiscard]] bool ot_reserved(TransponderId id) const EXCLUDES(mu_);
-  void reserve_regen(RegenId id) EXCLUDES(mu_);
-  void release_regen(RegenId id) EXCLUDES(mu_);
-  [[nodiscard]] bool regen_reserved(RegenId id) const EXCLUDES(mu_);
+                                      dwdm::ChannelIndex ch) const;
+  void reserve_ot(TransponderId id);
+  void release_ot(TransponderId id);
+  [[nodiscard]] bool ot_reserved(TransponderId id) const;
+  void reserve_regen(RegenId id);
+  void release_regen(RegenId id);
+  [[nodiscard]] bool regen_reserved(RegenId id) const;
 
   // --- combined availability (device state minus reservations) -----------
   /// Channels usable on `link`: free on the facing degree of both end
   /// ROADMs and not reserved. Empty if the link is failed.
-  [[nodiscard]] dwdm::ChannelSet available_on_link(LinkId link) const
-      EXCLUDES(mu_);
+  [[nodiscard]] dwdm::ChannelSet available_on_link(LinkId link) const;
 
   /// An idle, unreserved OT at `node` with line rate >= `min_rate`.
   [[nodiscard]] std::optional<TransponderId> find_free_ot(
-      NodeId node, DataRate min_rate) const EXCLUDES(mu_);
-  [[nodiscard]] std::size_t free_ot_count(NodeId node, DataRate min_rate) const
-      EXCLUDES(mu_);
+      NodeId node, DataRate min_rate) const;
+  [[nodiscard]] std::size_t free_ot_count(NodeId node, DataRate min_rate) const;
 
   /// An unused, unreserved regenerator at `node`, skipping any id in
   /// `exclude` (a plan may place several regens at one site).
   [[nodiscard]] std::optional<RegenId> find_free_regen(
       NodeId node, DataRate min_rate,
-      const std::set<RegenId>& exclude = {}) const EXCLUDES(mu_);
+      const std::set<RegenId>& exclude = {}) const;
   [[nodiscard]] std::size_t free_regen_count(NodeId node,
-                                             DataRate min_rate) const
-      EXCLUDES(mu_);
+                                             DataRate min_rate) const;
 
   /// Number of links where channel `ch` is currently configured — input to
   /// the most-used wavelength-assignment policy.
-  [[nodiscard]] std::size_t channel_usage(dwdm::ChannelIndex ch) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::size_t channel_usage(dwdm::ChannelIndex ch) const;
 
-  [[nodiscard]] std::size_t reservations() const EXCLUDES(mu_);
+  [[nodiscard]] std::size_t reservations() const;
 
   // --- versioned read snapshot --------------------------------------------
   /// Refresh-if-stale and return the current snapshot. Reads the
@@ -215,26 +210,19 @@ class Inventory {
   /// model accessor. O(1) when nothing changed since the last call;
   /// overlay-only churn re-publishes from incrementally-maintained state
   /// without touching the model.
-  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
 
   /// Last published snapshot, or nullptr before the first snapshot()
   /// call. Never reads the NetworkModel — safe from any thread while the
   /// owner thread keeps mutating model and overlay.
   [[nodiscard]] std::shared_ptr<const Snapshot> published_snapshot() const
-      EXCLUDES(mu_);
+      EXCLUDES(published_mu_);
 
  private:
   using PoolIndex = Snapshot::PoolIndex;
 
   /// Grow-on-demand access to the per-link reservation set.
-  dwdm::ChannelSet& reserved_on_locked(LinkId link) REQUIRES(mu_);
-  [[nodiscard]] bool channel_reserved_locked(LinkId link,
-                                             dwdm::ChannelIndex ch) const
-      REQUIRES(mu_);
-  [[nodiscard]] bool ot_reserved_locked(TransponderId id) const
-      REQUIRES(mu_);
-  [[nodiscard]] bool regen_reserved_locked(RegenId id) const REQUIRES(mu_);
+  dwdm::ChannelSet& reserved_on(LinkId link);
 
   /// Device-only availability on a link (no reservation overlay) — pure
   /// model read, shared by the live query and the rebuild path.
@@ -243,33 +231,31 @@ class Inventory {
   /// O(1) device-free-bit maintenance off the model's change observers
   /// (attach_device_listeners). Fires on the owner thread, after the
   /// model bumped device_version().
-  void on_ot_changed(const dwdm::Transponder& ot) EXCLUDES(mu_);
-  void on_regen_changed(const dwdm::Regenerator& regen) EXCLUDES(mu_);
+  void on_ot_changed(const dwdm::Transponder& ot);
+  void on_regen_changed(const dwdm::Regenerator& regen);
 
-  void ensure_pools_locked() const REQUIRES(mu_);
-  void ensure_usage_locked() const REQUIRES(mu_);
+  void ensure_pools() const;
+  void ensure_usage() const;
   /// Full rebuild of the derived planning state from the model (link
   /// availability, device free bitmaps, pools, usage table).
-  void rebuild_locked() const REQUIRES(mu_);
+  void rebuild() const;
   /// Assemble and publish a fresh immutable Snapshot from current state.
-  void publish_locked() const REQUIRES(mu_);
+  void publish() const;
 
   const NetworkModel* model_;
   /// Non-null while this inventory holds the model's device-observer
   /// slot (owner-thread only; used to detach on destruction).
   NetworkModel* listening_ = nullptr;
 
-  mutable Mutex mu_;
-
   // Reservation overlay. `reserved_by_link_` is indexed by link id value;
   // `channel_reservation_count_` keeps reservations() O(1). OT/regen
   // reservations are bitmaps keyed by id value with explicit counts.
-  std::vector<dwdm::ChannelSet> reserved_by_link_ GUARDED_BY(mu_);
-  std::size_t channel_reservation_count_ GUARDED_BY(mu_) = 0;
-  std::vector<std::uint64_t> reserved_ot_bits_ GUARDED_BY(mu_);
-  std::size_t reserved_ot_count_ GUARDED_BY(mu_) = 0;
-  std::vector<std::uint64_t> reserved_regen_bits_ GUARDED_BY(mu_);
-  std::size_t reserved_regen_count_ GUARDED_BY(mu_) = 0;
+  std::vector<dwdm::ChannelSet> reserved_by_link_;
+  std::size_t channel_reservation_count_ = 0;
+  std::vector<std::uint64_t> reserved_ot_bits_;
+  std::size_t reserved_ot_count_ = 0;
+  std::vector<std::uint64_t> reserved_regen_bits_;
+  std::size_t reserved_regen_count_ = 0;
 
   // Per-site device pools, built lazily from the model (sites are fixed at
   // model construction; pools are rebuilt if devices were added since).
@@ -277,32 +263,36 @@ class Inventory {
   // the smallest adequate rate with the lowest id — the same pick the
   // old full scan made. Regens keep id order. Shared immutably with
   // published snapshots.
-  mutable std::shared_ptr<const PoolIndex> pools_ GUARDED_BY(mu_);
+  mutable std::shared_ptr<const PoolIndex> pools_;
 
   // Per-channel usage table (device state only, reservations excluded),
   // recomputed when the model's plant version moves. Shared immutably
   // with published snapshots.
-  mutable std::shared_ptr<const std::vector<std::size_t>> usage_
-      GUARDED_BY(mu_);
-  mutable std::uint64_t usage_version_ GUARDED_BY(mu_) = 0;
+  mutable std::shared_ptr<const std::vector<std::size_t>> usage_;
+  mutable std::uint64_t usage_version_ = 0;
 
   // Incrementally-maintained snapshot ingredients, valid while the model
   // version stamps below match the model. `device_avail_` is device-only
   // per-link availability; `net_avail_` is device minus reservations and
   // is what publish copies into the snapshot.
-  mutable bool built_ GUARDED_BY(mu_) = false;
-  mutable std::vector<dwdm::ChannelSet> device_avail_ GUARDED_BY(mu_);
-  mutable std::vector<dwdm::ChannelSet> net_avail_ GUARDED_BY(mu_);
-  mutable std::vector<std::uint64_t> ot_device_free_bits_ GUARDED_BY(mu_);
-  mutable std::vector<std::uint64_t> regen_device_free_bits_ GUARDED_BY(mu_);
-  mutable std::uint64_t built_plant_version_ GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t built_topology_version_ GUARDED_BY(mu_) = 0;
-  mutable std::uint64_t built_device_version_ GUARDED_BY(mu_) = 0;
+  mutable bool built_ = false;
+  mutable std::vector<dwdm::ChannelSet> device_avail_;
+  mutable std::vector<dwdm::ChannelSet> net_avail_;
+  mutable std::vector<std::uint64_t> ot_device_free_bits_;
+  mutable std::vector<std::uint64_t> regen_device_free_bits_;
+  mutable std::uint64_t built_plant_version_ = 0;
+  mutable std::uint64_t built_topology_version_ = 0;
+  mutable std::uint64_t built_device_version_ = 0;
 
   // Publish state: set when the overlay changed since the last publish.
-  mutable bool overlay_dirty_ GUARDED_BY(mu_) = false;
-  mutable std::shared_ptr<const Snapshot> published_ GUARDED_BY(mu_);
-  mutable std::uint64_t publish_seq_ GUARDED_BY(mu_) = 0;
+  mutable bool overlay_dirty_ = false;
+  mutable std::uint64_t publish_seq_ = 0;
+
+  // The one cross-thread seam: the owner thread swaps in each new
+  // snapshot, published_snapshot() readers on any thread copy it out.
+  mutable Mutex published_mu_;  // griphon-lint: allow(owner-thread) any caller of published_snapshot()
+  mutable std::shared_ptr<const Snapshot> published_
+      GUARDED_BY(published_mu_);
 };
 
 }  // namespace griphon::core

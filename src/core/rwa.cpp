@@ -47,7 +47,7 @@ dwdm::ChannelIndex RwaEngine::pick_channel(
   return best;
 }
 
-RwaEngine::TelemetryHandles RwaEngine::sync_telemetry_locked() const {
+RwaEngine::TelemetryHandles RwaEngine::telemetry_handles() const {
   telemetry::Telemetry* t = model_->telemetry();
   if (t == telemetry_seen_) return handles_;
   telemetry_seen_ = t;
@@ -72,11 +72,6 @@ RwaEngine::TelemetryHandles RwaEngine::sync_telemetry_locked() const {
   return handles_;
 }
 
-RwaEngine::TelemetryHandles RwaEngine::telemetry_handles() const {
-  MutexLock lock(&mu_);
-  return sync_telemetry_locked();
-}
-
 std::size_t RwaEngine::RouteKeyHash::operator()(
     const RouteKey& k) const noexcept {
   // FNV-1a over the key's words; equality still compares in full, so a
@@ -94,7 +89,7 @@ std::size_t RwaEngine::RouteKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-void RwaEngine::invalidate_cache_locked(const TelemetryHandles& t) const {
+void RwaEngine::invalidate_cache(const TelemetryHandles& t) const {
   if (route_cache_version_ == model_->topology_version()) return;
   // A fiber cut only *removes* paths: an entry whose cached candidates
   // avoid every cut link is still exactly the k shortest of the reduced
@@ -131,10 +126,9 @@ void RwaEngine::invalidate_cache_locked(const TelemetryHandles& t) const {
 
 const std::vector<topology::Path>& RwaEngine::candidate_routes(
     NodeId src, NodeId dst, const Exclusions& exclude) const {
-  MutexLock lock(&mu_);
   // External callers (BoD scheduler) skip plan(), so sync here too.
-  const TelemetryHandles t = sync_telemetry_locked();
-  invalidate_cache_locked(t);
+  const TelemetryHandles t = telemetry_handles();
+  invalidate_cache(t);
   RouteKey key;
   key.src = src.value();
   key.dst = dst.value();

@@ -10,11 +10,9 @@
 // is pluggable (first-fit packs the spectrum from the bottom; most-used
 // maximizes reuse, the classic blocking-reduction heuristic).
 //
-// Concurrency (DESIGN.md §15): plan() reads planning state (availability,
-// pools, usage) exclusively through one Inventory::Snapshot taken at the
-// top of the call, so a future parallel candidate evaluation sees one
-// coherent view. The route cache and cached metric handles are guarded by
-// `mu_`.
+// Owner-thread only (DESIGN.md §15). plan() reads planning state
+// (availability, pools, usage) exclusively through one Inventory::Snapshot
+// taken at the top of the call, so each plan sees one coherent view.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "core/inventory.hpp"
 #include "dwdm/reach.hpp"
 #include "topology/path.hpp"
@@ -79,7 +76,7 @@ class RwaEngine {
   /// Plan a wavelength connection of `rate` between two core PoPs.
   [[nodiscard]] Result<WavelengthPlan> plan(
       NodeId src, NodeId dst, DataRate rate,
-      const Exclusions& exclude = {}) const EXCLUDES(mu_);
+      const Exclusions& exclude = {}) const;
 
   /// Channels usable on every link of `path[first..last]`, as seen by the
   /// given snapshot.
@@ -104,13 +101,10 @@ class RwaEngine {
   /// clears the cache — callers use it within one planning pass, on the
   /// thread that owns model mutations.
   [[nodiscard]] const std::vector<topology::Path>& candidate_routes(
-      NodeId src, NodeId dst, const Exclusions& exclude = {}) const
-      EXCLUDES(mu_);
+      NodeId src, NodeId dst, const Exclusions& exclude = {}) const;
 
  private:
-  /// Metric handles resolved against the current telemetry sink; passed
-  /// around by value so hot-path counting never touches guarded members
-  /// without the lock.
+  /// Metric handles resolved against the current telemetry sink.
   struct TelemetryHandles {
     telemetry::Counter* cache_hits = nullptr;
     telemetry::Counter* cache_misses = nullptr;
@@ -124,8 +118,7 @@ class RwaEngine {
   /// traverse a cut link; fall back to a full clear on repairs or a
   /// journal gap (see the comment in the implementation for why that
   /// split is decision-identical to always clearing).
-  void invalidate_cache_locked(const TelemetryHandles& t) const
-      REQUIRES(mu_);
+  void invalidate_cache(const TelemetryHandles& t) const;
 
   [[nodiscard]] dwdm::ChannelIndex pick_channel(
       const dwdm::ChannelSet& candidates,
@@ -134,8 +127,7 @@ class RwaEngine {
   /// Refresh cached metric handles when the model's telemetry sink changes
   /// (attach/detach). Keeps the steady-state cost of counting at one
   /// pointer comparison + one branch per plan() call.
-  TelemetryHandles sync_telemetry_locked() const REQUIRES(mu_);
-  [[nodiscard]] TelemetryHandles telemetry_handles() const EXCLUDES(mu_);
+  [[nodiscard]] TelemetryHandles telemetry_handles() const;
 
   /// Full cache key: pair + exclusions (compared, not just hashed, so a
   /// hash collision can never serve the wrong candidate list).
@@ -154,17 +146,15 @@ class RwaEngine {
   const Inventory* inventory_;
   Params params_;
 
-  mutable Mutex mu_;
-
   mutable std::unordered_map<RouteKey, std::vector<topology::Path>,
                              RouteKeyHash>
-      route_cache_ GUARDED_BY(mu_);
-  mutable std::uint64_t route_cache_version_ GUARDED_BY(mu_) = 0;
+      route_cache_;
+  mutable std::uint64_t route_cache_version_ = 0;
 
   // Metric handles cached against the sink they came from (plan() is the
-  // provisioning hot path; see sync_telemetry_locked()).
-  mutable const void* telemetry_seen_ GUARDED_BY(mu_) = nullptr;
-  mutable TelemetryHandles handles_ GUARDED_BY(mu_);
+  // provisioning hot path; see telemetry_handles()).
+  mutable const void* telemetry_seen_ = nullptr;
+  mutable TelemetryHandles handles_;
 };
 
 }  // namespace griphon::core

@@ -8,7 +8,7 @@
 
 namespace griphon::core {
 
-StepDag::StepDag(const StepList& steps) {
+StepDag::StepDag(const StepList& steps, bool chained) {
   deps_.resize(steps.size());
   dependents_.resize(steps.size());
   // Explicit builder edges plus implicit per-element serialization: each
@@ -22,6 +22,7 @@ StepDag::StepDag(const StepList& steps) {
         it != last_on_element.end())
       deps.insert(it->second);
     last_on_element[key] = i;
+    if (chained && i > 0) deps.insert(i - 1);
     deps.erase(i);  // self-edges would deadlock; drop them defensively
     for (const std::size_t d : deps) {
       if (d >= i) continue;  // edges only point backwards in list order

@@ -43,10 +43,11 @@ using StepList = std::vector<Step>;
 /// The dependency graph of one StepList: explicit builder edges merged
 /// with implicit same-element edges (each command depends on the previous
 /// command addressed to the same element, preserving list order per
-/// device). Indices are positions in the originating StepList.
+/// device). Indices are positions in the originating StepList. `chained`
+/// adds an edge from every step to the one before it (sequential mode).
 class StepDag {
  public:
-  explicit StepDag(const StepList& steps);
+  explicit StepDag(const StepList& steps, bool chained = false);
 
   [[nodiscard]] std::size_t size() const noexcept { return deps_.size(); }
   [[nodiscard]] const std::vector<std::size_t>& deps_of(

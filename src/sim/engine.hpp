@@ -26,8 +26,9 @@ class EventHandle {
 
  private:
   friend class Engine;
-  explicit EventHandle(std::uint64_t seq) : seq_(seq) {}
+  EventHandle(std::uint64_t seq, SimTime when) : seq_(seq), when_(when) {}
   std::uint64_t seq_ = 0;
+  SimTime when_{};  ///< fire time, after clamping to the schedule-time now
 };
 
 class Engine {
@@ -84,7 +85,12 @@ class Engine {
     }
   };
 
-  bool pop_one();
+  /// Fire the next live event due at or before `horizon`, dropping
+  /// cancelled entries on the way. False when none is due.
+  bool pop_one(SimTime horizon);
+  /// The event behind `h` has left the queue (fired, or dropped as
+  /// cancelled).
+  [[nodiscard]] bool gone(const EventHandle& h) const noexcept;
 
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<std::uint64_t> cancelled_;  // sorted insertion not needed; small
@@ -92,6 +98,12 @@ class Engine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
   std::size_t cancelled_pending_ = 0;
+  // Key of the last entry popped. Until the queue drains, entries leave
+  // in increasing (when, seq) order, so an event whose key is at or below
+  // it has gone; everything scheduled before the last drain has gone too.
+  SimTime popped_when_{};
+  std::uint64_t popped_seq_ = 0;
+  std::uint64_t drained_seq_ = 0;
   Rng rng_;
 };
 

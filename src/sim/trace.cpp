@@ -20,8 +20,8 @@ const char* to_string(TraceLevel level) noexcept {
   return "?";
 }
 
-void Trace::emit_locked(SimTime when, TraceLevel level, std::string actor,
-                        std::string event, std::string detail) {
+void Trace::emit(SimTime when, TraceLevel level, std::string actor,
+                 std::string event, std::string detail) {
   if (level < min_level_) return;
   TraceRecord record{when, level, std::move(actor), std::move(event),
                      std::move(detail)};
@@ -34,10 +34,9 @@ void Trace::emit_locked(SimTime when, TraceLevel level, std::string actor,
     if (!overflow_warned_) {
       // One warning so silent truncation of long soaks stays visible;
       // the warning itself goes through the ring (evicting one more
-      // record, which dropped_ counts). Re-enters the locked variant —
-      // the mutex is not recursive.
+      // record, which dropped_ counts).
       overflow_warned_ = true;
-      emit_locked(when, TraceLevel::kWarn, "trace", "ring-full",
+      emit(when, TraceLevel::kWarn, "trace", "ring-full",
                   "capacity " + std::to_string(capacity_) +
                       " reached; oldest records are being dropped");
     }
@@ -46,16 +45,8 @@ void Trace::emit_locked(SimTime when, TraceLevel level, std::string actor,
   records_.push_back(std::move(record));
 }
 
-void Trace::emit(SimTime when, TraceLevel level, std::string actor,
-                 std::string event, std::string detail) {
-  MutexLock lock(&mu_);
-  emit_locked(when, level, std::move(actor), std::move(event),
-              std::move(detail));
-}
-
 void Trace::set_capacity(std::size_t capacity) {
-  MutexLock lock(&mu_);
-  normalize_locked();
+  normalize();
   capacity_ = capacity;
   if (capacity_ != 0 && records_.size() > capacity_) {
     const std::size_t excess = records_.size() - capacity_;
@@ -65,7 +56,7 @@ void Trace::set_capacity(std::size_t capacity) {
   }
 }
 
-void Trace::normalize_locked() const {
+void Trace::normalize() const {
   if (head_ != 0) {
     std::rotate(records_.begin(),
                 records_.begin() + static_cast<std::ptrdiff_t>(head_),
@@ -75,13 +66,11 @@ void Trace::normalize_locked() const {
 }
 
 const std::vector<TraceRecord>& Trace::records() const {
-  MutexLock lock(&mu_);
-  normalize_locked();
+  normalize();
   return records_;
 }
 
 std::size_t Trace::count(std::string_view event) const {
-  MutexLock lock(&mu_);
   return static_cast<std::size_t>(
       std::count_if(records_.begin(), records_.end(),
                     [&](const TraceRecord& r) { return r.event == event; }));
@@ -116,8 +105,7 @@ void json_escape(std::ostream& os, const std::string& s) {
 }  // namespace
 
 std::string Trace::to_json() const {
-  MutexLock lock(&mu_);
-  normalize_locked();
+  normalize();
   std::ostringstream os;
   os << "{\"dropped\":" << dropped_ << ",\"records\":[";
   for (std::size_t i = 0; i < records_.size(); ++i) {

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "common/units.hpp"
 
 namespace griphon::sim {
@@ -26,21 +25,17 @@ struct TraceRecord {
   std::string detail;  ///< free-form context
 };
 
-/// Concurrency (DESIGN.md §15): the ring is guarded by one mutex.
-/// records() returns a reference into guarded storage for the owner
-/// thread's assertion/export path; cross-thread consumers use the
-/// value-returning to_json().
+/// Owner-thread only (DESIGN.md §15): the simulation thread emits and
+/// reads; nothing here is locked.
 class Trace {
  public:
   void emit(SimTime when, TraceLevel level, std::string actor,
-            std::string event, std::string detail = {}) EXCLUDES(mu_);
+            std::string event, std::string detail = {});
 
   /// Retained records, oldest first. With a capacity set, only the newest
   /// `capacity` records survive (see set_capacity).
-  [[nodiscard]] const std::vector<TraceRecord>& records() const
-      EXCLUDES(mu_);
-  void clear() EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  [[nodiscard]] const std::vector<TraceRecord>& records() const;
+  void clear() {
     records_.clear();
     head_ = 0;
     dropped_ = 0;
@@ -48,12 +43,10 @@ class Trace {
   }
 
   /// Number of retained records whose event name matches exactly.
-  [[nodiscard]] std::size_t count(std::string_view event) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::size_t count(std::string_view event) const;
 
   /// Minimum level retained; below it emit() is a no-op.
-  void set_min_level(TraceLevel level) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  void set_min_level(TraceLevel level) {
     min_level_ = level;
   }
 
@@ -61,48 +54,39 @@ class Trace {
   /// default) keeps everything. Soak runs and long benches set a bound so
   /// the trace cannot grow without limit; shrinking below the current size
   /// drops the oldest records immediately.
-  void set_capacity(std::size_t capacity) EXCLUDES(mu_);
-  [[nodiscard]] std::size_t capacity() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  void set_capacity(std::size_t capacity);
+  [[nodiscard]] std::size_t capacity() const {
     return capacity_;
   }
   /// Records evicted by the ring so far (0 while unbounded).
-  [[nodiscard]] std::size_t dropped_count() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  [[nodiscard]] std::size_t dropped_count() const {
     return dropped_;
   }
 
   /// Mirror records to a stream as they are emitted (for examples/demos).
-  void echo_to(std::ostream* os) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  void echo_to(std::ostream* os) {
     echo_ = os;
   }
 
   /// Serialize retained records for offline tooling:
   /// {"dropped": N, "records": [...]} — `dropped` makes ring truncation
   /// visible in the dump. Strings are escaped per RFC 8259.
-  [[nodiscard]] std::string to_json() const EXCLUDES(mu_);
+  [[nodiscard]] std::string to_json() const;
 
  private:
-  /// Append one record, evicting through the ring when full. The
-  /// ring-full warning re-enters here (never the locking emit()).
-  void emit_locked(SimTime when, TraceLevel level, std::string actor,
-                   std::string event, std::string detail) REQUIRES(mu_);
-
   /// Rotate the ring so records_ is oldest-first and head_ is 0. Logically
   /// const: the record sequence is unchanged, only storage order.
-  void normalize_locked() const REQUIRES(mu_);
+  void normalize() const;
 
-  mutable Mutex mu_;
-  mutable std::vector<TraceRecord> records_ GUARDED_BY(mu_);
+  mutable std::vector<TraceRecord> records_;
   /// Ring start when size == capacity.
-  mutable std::size_t head_ GUARDED_BY(mu_) = 0;
-  std::size_t capacity_ GUARDED_BY(mu_) = 0;  ///< 0 = unbounded
-  std::size_t dropped_ GUARDED_BY(mu_) = 0;
+  mutable std::size_t head_ = 0;
+  std::size_t capacity_ = 0;  ///< 0 = unbounded
+  std::size_t dropped_ = 0;
   /// First-drop warning already emitted.
-  bool overflow_warned_ GUARDED_BY(mu_) = false;
-  TraceLevel min_level_ GUARDED_BY(mu_) = TraceLevel::kDebug;
-  std::ostream* echo_ GUARDED_BY(mu_) = nullptr;
+  bool overflow_warned_ = false;
+  TraceLevel min_level_ = TraceLevel::kDebug;
+  std::ostream* echo_ = nullptr;
 };
 
 std::ostream& operator<<(std::ostream& os, const TraceRecord& r);

@@ -9,13 +9,12 @@ namespace griphon::telemetry {
 
 SpanId SpanTracer::start(std::string name, std::string actor,
                          CorrelationTag tag, SpanId parent, SimTime now) {
-  MutexLock lock(&mu_);
   Span s;
   s.id = next_++;
   s.parent = parent;
   s.tag = tag;
   if (s.tag == 0 && parent != 0) {
-    if (const Span* p = find_locked(parent)) s.tag = p->tag;
+    if (const Span* p = find(parent)) s.tag = p->tag;
   }
   s.name = std::move(name);
   s.actor = std::move(actor);
@@ -29,7 +28,6 @@ SpanId SpanTracer::start(std::string name, std::string actor,
 
 void SpanTracer::end(SpanId id, SimTime now, bool ok, std::string detail) {
   if (id == 0) return;
-  MutexLock lock(&mu_);
   const auto it = index_.find(id);
   if (it == index_.end()) return;
   Span& s = spans_[it->second];
@@ -44,13 +42,12 @@ void SpanTracer::end(SpanId id, SimTime now, bool ok, std::string detail) {
 SpanId SpanTracer::record(std::string name, std::string actor,
                           CorrelationTag tag, SpanId parent, SimTime start,
                           SimTime end, bool ok, std::string detail) {
-  MutexLock lock(&mu_);
   Span s;
   s.id = next_++;
   s.parent = parent;
   s.tag = tag;
   if (s.tag == 0 && parent != 0) {
-    if (const Span* p = find_locked(parent)) s.tag = p->tag;
+    if (const Span* p = find(parent)) s.tag = p->tag;
   }
   s.name = std::move(name);
   s.actor = std::move(actor);
@@ -64,18 +61,12 @@ SpanId SpanTracer::record(std::string name, std::string actor,
   return spans_.back().id;
 }
 
-const Span* SpanTracer::find_locked(SpanId id) const {
+const Span* SpanTracer::find(SpanId id) const {
   const auto it = index_.find(id);
   return it == index_.end() ? nullptr : &spans_[it->second];
 }
 
-const Span* SpanTracer::find(SpanId id) const {
-  MutexLock lock(&mu_);
-  return find_locked(id);
-}
-
 std::vector<const Span*> SpanTracer::for_tag(CorrelationTag tag) const {
-  MutexLock lock(&mu_);
   std::vector<const Span*> out;
   for (const Span& s : spans_)
     if (s.tag == tag) out.push_back(&s);
@@ -83,7 +74,6 @@ std::vector<const Span*> SpanTracer::for_tag(CorrelationTag tag) const {
 }
 
 std::vector<const Span*> SpanTracer::children_of(SpanId id) const {
-  MutexLock lock(&mu_);
   std::vector<const Span*> out;
   for (const Span& s : spans_)
     if (s.parent == id) out.push_back(&s);
@@ -91,14 +81,12 @@ std::vector<const Span*> SpanTracer::children_of(SpanId id) const {
 }
 
 void SpanTracer::clear() {
-  MutexLock lock(&mu_);
   spans_.clear();
   index_.clear();
   open_ = 0;
 }
 
 std::string SpanTracer::to_json(CorrelationTag tag) const {
-  MutexLock lock(&mu_);
   std::ostringstream os;
   os << "[";
   bool first = true;

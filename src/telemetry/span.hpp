@@ -20,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "common/units.hpp"
 
 namespace griphon::telemetry {
@@ -50,58 +49,46 @@ struct Span {
   [[nodiscard]] SimTime duration() const noexcept { return end - start; }
 };
 
-/// Concurrency (DESIGN.md §15): the span store is guarded by one mutex.
-/// Accessors returning references/pointers into the store (spans(),
-/// find(), for_tag(), children_of()) are for the owner thread's export
-/// path: the returned views stay valid only while no other thread keeps
-/// appending (spans_ may reallocate). Cross-thread consumers go through
-/// the value-returning to_json().
+/// Owner-thread only (DESIGN.md §15). References and pointers handed out
+/// by spans(), find(), for_tag() and children_of() stay valid until the
+/// next start() or record() (spans_ may reallocate).
 class SpanTracer {
  public:
   /// Open a span at `now`. A zero tag inherits the parent's tag, so only
   /// the root of an operation needs explicit correlation.
   SpanId start(std::string name, std::string actor, CorrelationTag tag,
-               SpanId parent, SimTime now) EXCLUDES(mu_);
+               SpanId parent, SimTime now);
 
   /// Close a span. No-op for id 0, unknown ids, or already-closed spans —
   /// instrumentation on error paths may double-close safely.
-  void end(SpanId id, SimTime now, bool ok = true, std::string detail = {})
-      EXCLUDES(mu_);
+  void end(SpanId id, SimTime now, bool ok = true, std::string detail = {});
 
   /// Record a completed span retroactively (for phases whose start was
   /// only known in hindsight, e.g. detect = fiber-cut → first alarm).
   SpanId record(std::string name, std::string actor, CorrelationTag tag,
                 SpanId parent, SimTime start, SimTime end, bool ok = true,
-                std::string detail = {}) EXCLUDES(mu_);
+                std::string detail = {});
 
-  [[nodiscard]] const std::vector<Span>& spans() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  [[nodiscard]] const std::vector<Span>& spans() const {
     return spans_;
   }
-  [[nodiscard]] const Span* find(SpanId id) const EXCLUDES(mu_);
-  [[nodiscard]] std::vector<const Span*> for_tag(CorrelationTag tag) const
-      EXCLUDES(mu_);
-  [[nodiscard]] std::vector<const Span*> children_of(SpanId id) const
-      EXCLUDES(mu_);
-  [[nodiscard]] std::size_t open_count() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  [[nodiscard]] const Span* find(SpanId id) const;
+  [[nodiscard]] std::vector<const Span*> for_tag(CorrelationTag tag) const;
+  [[nodiscard]] std::vector<const Span*> children_of(SpanId id) const;
+  [[nodiscard]] std::size_t open_count() const {
     return open_;
   }
-  void clear() EXCLUDES(mu_);
+  void clear();
 
   /// JSON array of spans (tag 0 = every span) for offline tooling; times
   /// in seconds.
-  [[nodiscard]] std::string to_json(CorrelationTag tag = 0) const
-      EXCLUDES(mu_);
+  [[nodiscard]] std::string to_json(CorrelationTag tag = 0) const;
 
  private:
-  [[nodiscard]] const Span* find_locked(SpanId id) const REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::vector<Span> spans_ GUARDED_BY(mu_);
-  std::unordered_map<SpanId, std::size_t> index_ GUARDED_BY(mu_);
-  SpanId next_ GUARDED_BY(mu_) = 1;
-  std::size_t open_ GUARDED_BY(mu_) = 0;
+  std::vector<Span> spans_;
+  std::unordered_map<SpanId, std::size_t> index_;
+  SpanId next_ = 1;
+  std::size_t open_ = 0;
 };
 
 }  // namespace griphon::telemetry

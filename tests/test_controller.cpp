@@ -464,28 +464,39 @@ TEST(Portal, ListShowsCustomerView) {
 }
 
 TEST(Controller, ExecModesOrderedByConcurrency) {
-  GriphonController::Params pipelined;
-  pipelined.exec_mode = ExecMode::kPipelined;
   TestbedScenario seq(64, NetworkModel::Config{}, sequential_params());
   TestbedScenario dag(64);  // default params: DAG executor
-  TestbedScenario par(64, NetworkModel::Config{}, pipelined);
   const auto a = connect_sync(seq, seq.site_i, seq.site_iv, rates::k10G,
                               ProtectionMode::kRestorable);
   const auto d = connect_sync(dag, dag.site_i, dag.site_iv, rates::k10G,
                               ProtectionMode::kRestorable);
-  const auto b = connect_sync(par, par.site_i, par.site_iv, rates::k10G,
-                              ProtectionMode::kRestorable);
   const double t_seq = to_seconds(seq.controller->connection(a).setup_duration);
   const double t_dag = to_seconds(dag.controller->connection(d).setup_duration);
-  const double t_par = to_seconds(par.controller->connection(b).setup_duration);
   // The DAG executor overlaps everything the dependency edges allow and
-  // must land well under the sequential train; the ordering-blind
-  // pipelined ablation is the (unsafe) lower bound it cannot beat.
+  // must land well under the sequential train.
   EXPECT_LT(t_dag, t_seq * 0.7);
-  EXPECT_LE(t_par, t_dag);
   // Same final device state no matter the executor.
   EXPECT_EQ(seq.controller->device_state_digest(),
             dag.controller->device_state_digest());
+}
+
+TEST(Controller, SequentialRunIsAChainedDag) {
+  TestbedScenario s(64, NetworkModel::Config{}, sequential_params());
+  (void)connect_sync(s, s.site_i, s.site_iv, rates::k10G,
+                     ProtectionMode::kRestorable);
+  // Sequential mode runs on the DAG executor with a chain edge per step:
+  // list order, one dialogue at a time, nothing batched.
+  const StepDagReport& report = s.controller->last_dag_report();
+  ASSERT_GT(report.steps.size(), 1u);
+  for (std::size_t i = 0; i < report.steps.size(); ++i) {
+    const DagStepRecord& step = report.steps[i];
+    EXPECT_TRUE(step.ok) << i;
+    EXPECT_FALSE(step.batched) << i;
+    EXPECT_GE(step.end_s, step.start_s) << i;
+    if (i > 0) {
+      EXPECT_GE(step.start_s, report.steps[i - 1].end_s) << i;
+    }
+  }
 }
 
 /// Chaos hook for the rollback-ordering regression below: vetoes the first
@@ -521,14 +532,7 @@ struct RollbackOrderProbe final : ems::EmsFaultHook {
   }
 };
 
-TEST(Controller, RollbackRespectsReverseDependenciesUnderPipelined) {
-  // Regression: the ordering-blind pipelined executor used to run the undo
-  // train the same way it ran the forward train — every command at once —
-  // so an NTE client port could be disabled while its FXC cross-connect
-  // was still up. Rollback must always run dependency-ordered (undo edges
-  // are the forward edges reversed), whatever the forward executor was.
-  GriphonController::Params params;
-  params.exec_mode = ExecMode::kPipelined;
+void check_rollback_order(const GriphonController::Params& params) {
   TestbedScenario s(66, NetworkModel::Config{}, params);
   RollbackOrderProbe probe(&s.engine);
   s.model->fxc_ems().set_fault_hook(&probe);
@@ -554,6 +558,46 @@ TEST(Controller, RollbackRespectsReverseDependenciesUnderPipelined) {
   EXPECT_EQ(s.model->fxc_at(s.topo.i).active_connections(), 0u);
   EXPECT_EQ(s.model->nte(s.site_i).ports_in_use(), 0u);
   EXPECT_EQ(s.model->roadm_at(s.topo.i).active_uses(), 0u);
+}
+
+TEST(Controller, RollbackRespectsReverseDependencies) {
+  // Regression: an ordering-blind executor once ran the undo train the
+  // same way it ran the forward train — every command at once — so an NTE
+  // client port could be disabled while its FXC cross-connect was still
+  // up. Rollback must run dependency-ordered (undo edges are the forward
+  // edges reversed) under every ExecMode.
+  for (const GriphonController::Params& params :
+       {GriphonController::Params{}, sequential_params()}) {
+    SCOPED_TRACE(params.exec_mode == ExecMode::kDag ? "dag" : "sequential");
+    check_rollback_order(params);
+  }
+}
+
+TEST(ControllerRoll, OldEndpointOtsStayOutOfThePoolUntilReset) {
+  // Regression: the post-roll train deactivates the old endpoint OTs
+  // (which frees them) and resets them later; a setup that picked one in
+  // between had it reset under it ("activate requires tuned").
+  TestbedScenario s(57);
+  const auto id = connect_sync(s, s.site_i, s.site_iv, rates::k10G,
+                               ProtectionMode::kRestorable);
+  const TransponderId old_ot = s.controller->connection(id).plan.src_ot;
+  std::optional<Status> rolled;
+  Exclusions avoid;
+  avoid.links.insert(s.topo.i_iv);
+  s.controller->bridge_and_roll(id, avoid, [&](Status st) { rolled = st; });
+  bool deactivated = false;
+  while (!rolled && s.engine.step()) {
+    if (s.model->ot(old_ot).state() != dwdm::Transponder::State::kTuned)
+      continue;
+    deactivated = true;
+    EXPECT_TRUE(s.controller->inventory().ot_reserved(old_ot));
+    EXPECT_NE(s.controller->inventory().find_free_ot(s.topo.i, rates::k10G),
+              std::optional<TransponderId>{old_ot});
+  }
+  EXPECT_TRUE(deactivated);
+  ASSERT_TRUE(rolled && rolled->ok());
+  EXPECT_FALSE(s.controller->inventory().ot_reserved(old_ot));
+  EXPECT_EQ(s.model->ot(old_ot).state(), dwdm::Transponder::State::kIdle);
 }
 
 TEST(Controller, StatsTrackOutcomes) {

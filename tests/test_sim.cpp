@@ -77,8 +77,43 @@ TEST(Engine, CancelAfterFireIsNoop) {
   const auto h = e.schedule(seconds(1), []() {});
   e.run();
   e.cancel(h);  // must not crash or corrupt
+  EXPECT_EQ(e.pending(), 0u);
   e.schedule(seconds(1), []() {});
+  EXPECT_EQ(e.pending(), 1u);
   EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
+TEST(Engine, CancelOfGoneOrCancelledHandleIsNoop) {
+  Engine e;
+  int fired = 0;
+  // Same instant: `first` has fired by the time the canceller runs; `third`
+  // is queued behind it and still live.
+  EventHandle first;
+  EventHandle third;
+  first = e.schedule(seconds(1), [&]() { ++fired; });
+  e.schedule(seconds(1), [&]() {
+    e.cancel(first);
+    e.cancel(third);
+  });
+  third = e.schedule(seconds(1), [&]() { ++fired; });
+  const auto twice = e.schedule(seconds(2), [&]() { ++fired; });
+  e.cancel(twice);
+  e.cancel(twice);
+  EXPECT_EQ(e.pending(), 3u);
+  EXPECT_EQ(e.run(), 2u);  // `first` and the canceller
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(e.pending(), 0u);
+  // `twice` was dropped after the last live event, beyond now().
+  e.cancel(twice);
+  EXPECT_EQ(e.pending(), 0u);
+  // A fresh event at that same now() is still cancellable.
+  bool late = false;
+  const auto h = e.schedule(SimTime{}, [&]() { late = true; });
+  e.cancel(h);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.run(), 0u);
+  EXPECT_FALSE(late);
 }
 
 TEST(Engine, PendingExcludesCancelled) {

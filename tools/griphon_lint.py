@@ -52,6 +52,12 @@ Checks (DESIGN.md §10):
                    guards nothing is either dead or (worse) the guarded
                    members were left unannotated, which silently disables
                    the analysis for them.
+  owner-thread     Every `Mutex` member declared in src/ (outside
+                   common/sync.hpp) is a finding unless its line carries
+                   `// griphon-lint: allow(owner-thread) <which thread
+                   reads it>`. State is owner-thread by default (DESIGN.md
+                   §15); a lock must name the second thread that reads
+                   the data it guards.
 
 Usage:
     tools/griphon_lint.py [--report griphon_lint_report.txt] [paths...]
@@ -624,6 +630,30 @@ def check_guarded_member(findings: list[Finding]) -> None:
                 findings.append(f)
 
 
+# --- owner-thread -----------------------------------------------------------
+
+
+def check_owner_thread(findings: list[Finding]) -> None:
+    for path in repo_files(("src",), (".cpp", ".hpp")):
+        if os.path.relpath(path, REPO_ROOT) in RAW_SYNC_EXEMPT:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+        text = strip_comments(raw)
+        raw_lines = raw.splitlines()
+        for m in MUTEX_MEMBER_RE.finditer(text):
+            f = Finding(
+                path,
+                line_of(text, m.start()),
+                "owner-thread",
+                f"Mutex {m.group('name')}: state is owner-thread by default "
+                "— drop the lock, or name the second thread that reads it "
+                "in an allow(owner-thread) comment (DESIGN.md §15)",
+            )
+            if not allowed(raw_lines, f):
+                findings.append(f)
+
+
 # --- self-test --------------------------------------------------------------
 
 # (fixture source, relative path, check, expected finding count). Each bad
@@ -660,6 +690,15 @@ SELF_TEST_FIXTURES = (
         "guarded-member",
         1,
     ),
+    (
+        "#pragma once\nclass C {\n mutable Mutex mu_;\n"
+        " int x_ GUARDED_BY(mu_);\n"
+        " Mutex other_mu_;  // griphon-lint: allow(owner-thread) reader pool\n"
+        " Mutex bare_mu_;  // griphon-lint: allow(owner-thread)\n};\n",
+        os.path.join("src", "core", "fixture_owner.hpp"),
+        "owner-thread",
+        2,  # unjustified allow-comments stay fatal
+    ),
 )
 
 
@@ -680,6 +719,7 @@ def self_test() -> int:
             "detached-thread": check_detached_thread,
             "mutable-global": check_mutable_global,
             "guarded-member": check_guarded_member,
+            "owner-thread": check_owner_thread,
         }
         for source, rel, check, expected in SELF_TEST_FIXTURES:
             case_dir = os.path.join(tmp, os.path.dirname(rel))
@@ -730,6 +770,7 @@ CHECKS = {
     "detached-thread": check_detached_thread,
     "mutable-global": check_mutable_global,
     "guarded-member": check_guarded_member,
+    "owner-thread": check_owner_thread,
 }
 
 
