@@ -99,7 +99,7 @@ Trial one_trial(std::uint64_t seed, const chaos::FaultPlan& plan, bool arm) {
 }
 
 /// One fully instrumented trial at a representative intensity: telemetry
-/// attached (spans + event log + chaos counters), gauge sampler running on
+/// attached (spans + chaos counters), gauge sampler running on
 /// the sim clock. Exports a Perfetto-loadable Chrome trace — injected
 /// faults appear as instant events between the setup/restore span trees —
 /// plus the sampler rollups, for the chaos-soak CI lane and
@@ -144,8 +144,8 @@ void instrumented_trial(const chaos::FaultPlan& plan) {
     f << telemetry::TraceExporter().to_json(tel) << "\n";
   if (std::ofstream f("SERIES_chaos.json"); f) f << sampler.rollups_json();
   std::cout << "\ninstrumented trial (intensity 1.0): " << live.size()
-            << "/6 setups landed, " << tel.events().size()
-            << " events logged; wrote trace_chaos.json and "
+            << "/6 setups landed, " << s.engine.trace().records().size()
+            << " ring records; wrote trace_chaos.json and "
                "SERIES_chaos.json\n";
 }
 

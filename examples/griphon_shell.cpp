@@ -19,13 +19,13 @@
 //   telemetry                  Prometheus metrics dump
 //   telemetry <id>             per-connection lifecycle waterfall
 //   telemetry json [id]        span JSON (all spans, or one connection)
-//   telemetry save <path>      dump metrics + spans + events as JSON
+//   telemetry save <path>      dump metrics + spans + event ring as JSON
 //   trace save <path>          Chrome Trace Event JSON (Perfetto/
 //                              chrome://tracing loadable)
 //   series [save <path> [csv]] sampled gauge time series (sparklines to
 //                              the console, JSON/CSV to a file)
-//   eventlog [n]               newest n structured events (default 20)
-//   eventlog save <path>       event log as JSON
+//   eventlog [n]               newest n event-ring records (default 20)
+//   eventlog save <path>       event ring as JSON
 //   dag                        step DAG + critical path of the last
 //                              command train
 //   schedule <a> <b> <tb> <hours>   deadline-driven bulk transfer (BoD)
@@ -146,6 +146,18 @@ int main() {
   };
 
   auto& out = std::cout;
+  // Tail of the engine's event ring: one line per record, newest last.
+  const auto print_ring = [&](std::size_t n) {
+    const sim::Trace& ring = s.engine.trace();
+    const auto& records = ring.records();
+    out << "event ring: " << records.size() << " record(s)";
+    if (ring.dropped_count() > 0)
+      out << " (" << ring.dropped_count() << " dropped)";
+    out << "\n";
+    for (std::size_t i = records.size() > n ? records.size() - n : 0;
+         i < records.size(); ++i)
+      out << "  " << records[i] << "\n";
+  };
   out << "GRIPhoN shell — paper testbed loaded. 'help' for commands.\n";
   const std::vector<MuxponderId> sites{s.site_i, s.site_iii, s.site_iv};
 
@@ -269,7 +281,7 @@ int main() {
             << ts->spark(40) << "]\n";
       }
       out << slo.render();
-      if (tel.events().size() > 0) out << tel.events().render(5);
+      print_ring(5);
     } else if (cmd == "trace") {
       std::string sub, path;
       in >> sub >> path;
@@ -323,12 +335,12 @@ int main() {
           out << "  cannot write '" << path << "'\n";
           continue;
         }
-        file << tel.events().to_json() << "\n";
+        file << s.engine.trace().to_json() << "\n";
         out << "  wrote " << path << "\n";
       } else {
         std::size_t n = 20;
         if (!sub.empty()) std::istringstream(sub) >> n;
-        out << tel.events().render(n);
+        print_ring(n);
       }
     } else if (cmd == "telemetry") {
       std::string arg;
@@ -356,8 +368,7 @@ int main() {
         }
         file << "{\"metrics\": " << tel.metrics().to_json_rows("shell")
              << ", \"spans\": " << tel.spans().to_json()
-             << ", \"events\": " << tel.events().to_json()
-             << ", \"sim_trace\": " << s.model->trace().to_json() << "}\n";
+             << ", \"events\": " << s.engine.trace().to_json() << "}\n";
         out << "  wrote " << path << "\n";
       } else {
         std::uint64_t id = 0;

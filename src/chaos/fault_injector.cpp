@@ -321,11 +321,8 @@ double FaultInjector::latency_scale(const std::string& ems) {
 void FaultInjector::record(const std::string& kind,
                            const std::string& detail) {
   log_.push_back(Event{model_->engine().now(), kind, detail});
-  model_->trace().emit(model_->engine().now(), sim::TraceLevel::kInfo,
+  model_->trace().emit(model_->engine().now(), sim::TraceLevel::kWarn,
                        "chaos", kind, detail);
-  if (telemetry_ != nullptr)
-    telemetry_->event(telemetry::Severity::kWarn, "fault", "chaos",
-                      kind + (detail.empty() ? "" : ": " + detail));
 }
 
 void FaultInjector::bump(telemetry::Counter* counter) {

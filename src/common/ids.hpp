@@ -104,6 +104,11 @@ using JobId = Id<struct JobTag>;          ///< workload bulk-transfer job
 using ReservationId = Id<struct ResvTag>; ///< calendar capacity reservation
 using TransferId = Id<struct XferTag>;    ///< deadline-driven bulk transfer
 
+/// Correlation tag grouping the spans and trace records of one operation
+/// across components; by convention core::telemetry_tag(ConnectionId) =
+/// id value + 1. 0 = untagged (global/plant records).
+using CorrelationTag = std::uint64_t;
+
 }  // namespace griphon
 
 namespace std {

@@ -147,11 +147,11 @@ GriphonController::GriphonController(NetworkModel* model, Params params)
               if (t != times.end()) c->total_outage += t->second;
             }
             trace(sim::TraceLevel::kInfo, "otn-restored",
-                  "connection " + std::to_string(c->id.value()));
+                  "connection " + std::to_string(c->id.value()), c->id);
           } else {
             ++stats_.restorations_failed;
             trace(sim::TraceLevel::kWarn, "otn-restore-failed",
-                  status.error().message());
+                  status.error().message(), c->id);
           }
         });
     model_->mesh_restorer().on_revert_eligible([this](OduCircuitId odu) {
@@ -166,9 +166,9 @@ GriphonController::GriphonController(NetworkModel* model, Params params)
 }
 
 void GriphonController::trace(sim::TraceLevel level, const std::string& event,
-                              const std::string& detail) {
+                              const std::string& detail, ConnectionId id) {
   model_->trace().emit(model_->engine().now(), level, "controller", event,
-                       detail);
+                       detail, id.valid() ? telemetry_tag(id) : 0);
 }
 
 Connection& GriphonController::conn(ConnectionId id) {
@@ -298,11 +298,6 @@ void GriphonController::issue_command(
           trace(sim::TraceLevel::kInfo, "command-retry",
                 domain_of(client) + " attempt " + std::to_string(attempt) +
                     ": " + s.error().message());
-          if (telemetry::Telemetry* t = model_->telemetry())
-            t->event(telemetry::Severity::kWarn, "retry",
-                     domain_of(client) + "-ems",
-                     "command retry, attempt " + std::to_string(attempt) +
-                         ": " + s.error().message());
           model_->engine().schedule(
               retry_delay(attempt),
               [this, client, message = std::move(message),
@@ -897,13 +892,11 @@ void GriphonController::request_connection(const ConnectionRequest& request,
         .counter("griphon_controller_requests_total",
                  "Connection requests accepted for orchestration")
         ->inc();
-    t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
-             "connection " + std::to_string(id.value()) + " requested",
-             telemetry_tag(id));
   }
   trace(sim::TraceLevel::kInfo, "request",
         "connection " + std::to_string(id.value()) + " rate " +
-            std::to_string(request.rate.in_gbps()) + "G");
+            std::to_string(request.rate.in_gbps()) + "G",
+        id);
   if (connections_[id].kind == ConnectionKind::kWavelength)
     setup_wavelength(id, std::move(cb));
   else
@@ -936,15 +929,6 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
       m.histogram("griphon_controller_setup_seconds",
                   "Request to traffic-flowing, end to end")
           ->observe(to_seconds(model_->engine().now() - c->requested_at));
-    if (status.ok())
-      t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
-               "connection " + std::to_string(id.value()) + " active",
-               telemetry_tag(id));
-    else
-      t->event(telemetry::Severity::kWarn, "lifecycle", "controller",
-               "connection " + std::to_string(id.value()) +
-                   " setup failed: " + status.error().message(),
-               telemetry_tag(id));
   }
   if (status.ok()) {
     c->state = ConnectionState::kActive;
@@ -953,7 +937,8 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
     ++stats_.setups_ok;
     trace(sim::TraceLevel::kInfo, "setup-done",
           "connection " + std::to_string(id.value()) + " in " +
-              std::to_string(to_seconds(c->setup_duration)) + "s");
+              std::to_string(to_seconds(c->setup_duration)) + "s",
+          id);
     // A fiber may have died *while* the command train was running; the
     // commands themselves still succeed (devices accept configuration on a
     // dark degree). Treat the connection as failed-at-birth and let the
@@ -972,7 +957,8 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
     release_nte_port(c->src_site, c->src_nte_port);
     release_nte_port(c->dst_site, c->dst_nte_port);
     ++stats_.setups_failed;
-    trace(sim::TraceLevel::kWarn, "setup-failed", status.error().message());
+    trace(sim::TraceLevel::kWarn, "setup-failed", status.error().message(),
+          id);
     cb(status.error());
   }
 }
@@ -1365,12 +1351,9 @@ void GriphonController::release_connection(ConnectionId id, DoneCallback cb) {
       m.counter("griphon_controller_releases_total", "Connections released",
                 {{"customer", std::to_string(c->customer.value())}})
           ->inc();
-      t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
-               "connection " + std::to_string(id.value()) + " released",
-               telemetry_tag(id));
     }
     trace(sim::TraceLevel::kInfo, "released",
-          "connection " + std::to_string(id.value()));
+          "connection " + std::to_string(id.value()), id);
     // The teardown freed channels and devices — capacity a backlogged
     // restoration may have been starving for.
     kick_restoration_backlog();
@@ -1456,12 +1439,7 @@ void GriphonController::mark_failed(Connection& c) {
   c.state = ConnectionState::kFailed;
   c.outage_started_at = model_->engine().now();
   trace(sim::TraceLevel::kWarn, "outage",
-        "connection " + std::to_string(c.id.value()));
-  if (telemetry::Telemetry* t = model_->telemetry())
-    t->event(telemetry::Severity::kWarn, "lifecycle", "controller",
-             "connection " + std::to_string(c.id.value()) +
-                 " failed (outage started)",
-             telemetry_tag(c.id));
+        "connection " + std::to_string(c.id.value()), c.id);
 }
 
 void GriphonController::mark_recovered(Connection& c) {
@@ -1475,13 +1453,8 @@ void GriphonController::mark_recovered(Connection& c) {
   if (restore_backlog_.erase(c.id) != 0) update_restoration_gauges();
   trace(sim::TraceLevel::kInfo, "recovered",
         "connection " + std::to_string(c.id.value()) + " outage " +
-            std::to_string(to_seconds(c.total_outage)) + "s total");
-  if (telemetry::Telemetry* t = model_->telemetry())
-    t->event(telemetry::Severity::kInfo, "lifecycle", "controller",
-             "connection " + std::to_string(c.id.value()) + " recovered (" +
-                 std::to_string(to_seconds(c.total_outage)) +
-                 "s outage total)",
-             telemetry_tag(c.id));
+            std::to_string(to_seconds(c.total_outage)) + "s total",
+        c.id);
 }
 
 void GriphonController::on_links_failed(
@@ -1501,10 +1474,6 @@ void GriphonController::on_links_failed(
                    "Correlated failure storms entering the restoration "
                    "pipeline")
           ->inc();
-      t->event(telemetry::Severity::kWarn, "restoration", "controller",
-               "restoration storm: " + std::to_string(links.size()) +
-                   " link(s) across " + std::to_string(event.conduits) +
-                   " conduit(s)");
     }
   }
   const std::set<LinkId> failed(links.begin(), links.end());
@@ -1533,7 +1502,7 @@ void GriphonController::on_links_failed(
             ++c->restorations;
             mark_recovered(*c);
             trace(sim::TraceLevel::kInfo, "1+1-switch",
-                  "connection " + std::to_string(cid.value()));
+                  "connection " + std::to_string(cid.value()), cid);
           });
         }
       } else if (c.protection == ProtectionMode::kRestorable &&
@@ -1588,7 +1557,7 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
             cc->traffic_on_standby = !cc->traffic_on_standby;
             mark_recovered(*cc);
             trace(sim::TraceLevel::kInfo, "1+1-switch-back",
-                  "connection " + std::to_string(cid.value()));
+                  "connection " + std::to_string(cid.value()), cid);
           });
         }
       }
@@ -1693,12 +1662,8 @@ void GriphonController::backlog_restoration(ConnectionId id,
     e.dormant = true;
     trace(sim::TraceLevel::kWarn, "restore-backlog-dormant",
           "connection " + std::to_string(id.value()) + " after " +
-              std::to_string(e.attempts - 1) + " timed retries: " + why);
-    if (telemetry::Telemetry* t = model_->telemetry())
-      t->event(telemetry::Severity::kWarn, "restoration", "controller",
-               "connection " + std::to_string(id.value()) +
-                   " backlog dormant: " + why,
-               telemetry_tag(id));
+              std::to_string(e.attempts - 1) + " timed retries: " + why,
+          id);
     update_restoration_gauges();
     maybe_clear_storm();
     return;
@@ -1708,7 +1673,8 @@ void GriphonController::backlog_restoration(ConnectionId id,
   trace(sim::TraceLevel::kInfo, "restore-backlog",
         "connection " + std::to_string(id.value()) + " retry #" +
             std::to_string(e.attempts) + " in " +
-            std::to_string(to_seconds(delay)) + "s: " + why);
+            std::to_string(to_seconds(delay)) + "s: " + why,
+        id);
   model_->engine().schedule(delay, [this, id, gen]() {
     const auto it = restore_backlog_.find(id);
     if (it == restore_backlog_.end() || it->second.generation != gen ||
@@ -1753,9 +1719,6 @@ void GriphonController::maybe_clear_storm() {
   storm_active_ = false;
   trace(sim::TraceLevel::kInfo, "storm-cleared",
         "restoration pipeline drained");
-  if (telemetry::Telemetry* t = model_->telemetry())
-    t->event(telemetry::Severity::kInfo, "restoration", "controller",
-             "restoration storm cleared (pipeline drained)");
   update_restoration_gauges();
 }
 
@@ -1786,7 +1749,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
   }
   c0->state = ConnectionState::kRestoring;
   trace(sim::TraceLevel::kInfo, "restore-start",
-        "connection " + std::to_string(id.value()));
+        "connection " + std::to_string(id.value()), id);
   const SimTime restore_started = model_->engine().now();
   if (telemetry::Telemetry* t = model_->telemetry())
     c0->op_span =
@@ -1811,11 +1774,6 @@ void GriphonController::restore_wavelength(ConnectionId id,
       m.histogram("griphon_controller_restore_seconds",
                   "Restoration start to traffic back, end to end")
           ->observe(to_seconds(model_->engine().now() - restore_started));
-    t->event(ok ? telemetry::Severity::kInfo : telemetry::Severity::kWarn,
-             "lifecycle", "controller",
-             "connection " + std::to_string(id.value()) +
-                 (ok ? " restored" : " restoration failed: " + why),
-             telemetry_tag(id));
   };
 
   // Steps 2+ (replan, admit, reprovision), entered either after the old
@@ -1850,7 +1808,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
         ++stats_.restorations_failed;
         if (Connection* cc = find_conn(id); cc != nullptr)
           cc->state = ConnectionState::kFailed;
-        trace(sim::TraceLevel::kError, "restore-failed", why);
+        trace(sim::TraceLevel::kError, "restore-failed", why, id);
         backlog_restoration(id, why);
         close_restore(false, why);
         done();
@@ -1876,7 +1834,8 @@ void GriphonController::restore_wavelength(ConnectionId id,
           trace(sim::TraceLevel::kWarn, "restore-non-diverse",
                 "connection " + std::to_string(id.value()) +
                     ": no SRLG-diverse route; restoring onto a conduit "
-                    "sibling");
+                    "sibling",
+                id);
           if (telemetry::Telemetry* t = model_->telemetry())
             t->metrics()
                 .counter("griphon_restoration_non_diverse_total",
@@ -1907,20 +1866,14 @@ void GriphonController::restore_wavelength(ConnectionId id,
             trace(sim::TraceLevel::kWarn, "restore-preempt",
                   "connection " + std::to_string(id.value()) +
                       " preempted " + std::to_string(freed) +
-                      " best-effort BoD window(s)");
-            if (telemetry::Telemetry* t = model_->telemetry()) {
+                      " best-effort BoD window(s)",
+                  id);
+            if (telemetry::Telemetry* t = model_->telemetry())
               t->metrics()
                   .counter("griphon_restoration_preemptions_total",
                            "Best-effort BoD windows preempted for gold "
                            "restorations")
                   ->inc(freed);
-              t->event(telemetry::Severity::kWarn, "restoration",
-                       "controller",
-                       "gold restoration " + std::to_string(id.value()) +
-                           " preempted " + std::to_string(freed) +
-                           " BoD window(s)",
-                       telemetry_tag(id));
-            }
           }
         }
         fail_attempt(plan.error().message());
@@ -1963,7 +1916,7 @@ void GriphonController::restore_wavelength(ConnectionId id,
                     ++stats_.restorations_ok;
                     mark_recovered(*c);
                     trace(sim::TraceLevel::kInfo, "restore-done",
-                          "connection " + std::to_string(id.value()));
+                          "connection " + std::to_string(id.value()), id);
                     close_restore(true, {});
                   } else {
                     ++stats_.restorations_failed;
@@ -1977,7 +1930,8 @@ void GriphonController::restore_wavelength(ConnectionId id,
                       // cleanup.
                       backlog_restoration(id, why);
                     });
-                    trace(sim::TraceLevel::kError, "restore-failed", why);
+                    trace(sim::TraceLevel::kError, "restore-failed", why,
+                          id);
                     close_restore(false, why);
                   }
                   done();
@@ -2217,7 +2171,7 @@ void GriphonController::roll_to_plan(ConnectionId id,
               ->inc();
         }
         trace(sim::TraceLevel::kInfo, "roll-done",
-              "connection " + std::to_string(id.value()));
+              "connection " + std::to_string(id.value()), id);
         // The old path's release is a capacity-freeing event (reopt moves
         // drain fragmented spectrum a backlogged restoration may need).
         kick_restoration_backlog();
@@ -2744,12 +2698,6 @@ void GriphonController::do_resync(
     m.counter("griphon_controller_resync_repairs_total",
               "Repair commands issued by audits")
         ->inc(report->repair_commands);
-    t->event(report->repair_commands == 0 ? telemetry::Severity::kInfo
-                                          : telemetry::Severity::kWarn,
-             "resync", "controller",
-             "audit: leaks=" + std::to_string(report->total_leaks()) +
-                 " drift=" + std::to_string(report->drifted_connections) +
-                 " repairs=" + std::to_string(report->repair_commands));
   }
   trace(report->repair_commands == 0 ? sim::TraceLevel::kInfo
                                      : sim::TraceLevel::kWarn,

@@ -407,8 +407,10 @@ class GriphonController {
   [[nodiscard]] Connection* find_conn(ConnectionId id);
   [[nodiscard]] Result<std::size_t> pick_free_nte_port(MuxponderId nte);
   void release_nte_port(MuxponderId nte, std::size_t port);
+  /// One ring record per transition; a connection's records carry its
+  /// telemetry_tag so they line up with its spans.
   void trace(sim::TraceLevel level, const std::string& event,
-             const std::string& detail);
+             const std::string& detail, ConnectionId id = {});
 
   NetworkModel* model_;
   Params params_;

@@ -62,6 +62,11 @@ void EmsHealthTracker::open_breaker(const std::string& name, Domain& d) {
   d.state = BreakerState::kOpen;
   d.opened_at = engine_->now();
   ++stats_.opens;
+  engine_->trace().emit(engine_->now(), sim::TraceLevel::kWarn,
+                        name + "-ems", "breaker",
+                        "opened after " +
+                            std::to_string(d.consecutive_timeouts) +
+                            " consecutive timeouts");
   if (telemetry_ != nullptr) {
     telemetry_
         ->metrics()
@@ -69,16 +74,14 @@ void EmsHealthTracker::open_breaker(const std::string& name, Domain& d) {
                  "Circuit-breaker open transitions", {{"domain", name}})
         ->inc();
     gauge_set(name, 1.0);
-    telemetry_->event(telemetry::Severity::kWarn, "breaker", name + "-ems",
-                      "circuit breaker opened after " +
-                          std::to_string(d.consecutive_timeouts) +
-                          " consecutive timeouts");
   }
 }
 
 void EmsHealthTracker::close_breaker(const std::string& name, Domain& d) {
   d.state = BreakerState::kClosed;
   ++stats_.closes;
+  engine_->trace().emit(engine_->now(), sim::TraceLevel::kInfo,
+                        name + "-ems", "breaker", "closed (probe succeeded)");
   if (telemetry_ != nullptr) {
     telemetry_
         ->metrics()
@@ -86,8 +89,6 @@ void EmsHealthTracker::close_breaker(const std::string& name, Domain& d) {
                  "Circuit-breaker close transitions", {{"domain", name}})
         ->inc();
     gauge_set(name, 0.0);
-    telemetry_->event(telemetry::Severity::kInfo, "breaker", name + "-ems",
-                      "circuit breaker closed (probe succeeded)");
   }
 }
 

@@ -39,8 +39,7 @@ NetworkModel::NetworkModel(sim::Engine* engine, topology::Graph graph,
     chan = std::make_unique<proto::ControlChannel>(engine_,
                                                    config_.channel_params);
     server = std::make_unique<ems::EmsServer>(engine_, &chan->b(),
-                                              config_.ems_profile, name,
-                                              &trace_);
+                                              config_.ems_profile, name);
     proto::RequestClient::Params params;
     params.timeout = seconds(30);  // optical tasks run for many seconds
     params.max_attempts = 4;
@@ -256,8 +255,8 @@ void NetworkModel::fail_link(LinkId link) {
         ->inc();
     telemetry_->note_link_failed(link.value());
   }
-  trace_.emit(engine_->now(), sim::TraceLevel::kWarn, "plant", "fiber-cut",
-              graph_.link(link).name);
+  trace().emit(engine_->now(), sim::TraceLevel::kWarn, "plant", "fiber-cut",
+               graph_.link(link).name);
   const auto& l = graph_.link(link);
   roadm_at(l.a).on_link_failed(link, engine_->now());
   roadm_at(l.b).on_link_failed(link, engine_->now());
@@ -276,8 +275,8 @@ void NetworkModel::repair_link(LinkId link) {
         ->metrics()
         .counter("griphon_plant_fiber_repairs_total", "Fiber repairs")
         ->inc();
-  trace_.emit(engine_->now(), sim::TraceLevel::kInfo, "plant", "fiber-repair",
-              graph_.link(link).name);
+  trace().emit(engine_->now(), sim::TraceLevel::kInfo, "plant",
+               "fiber-repair", graph_.link(link).name);
   const auto& l = graph_.link(link);
   roadm_at(l.a).on_link_restored(link, engine_->now());
   roadm_at(l.b).on_link_restored(link, engine_->now());

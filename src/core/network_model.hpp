@@ -75,7 +75,8 @@ class NetworkModel {
     return graph_;
   }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] sim::Trace& trace() noexcept { return trace_; }
+  /// The engine's event ring (shared by every model on the engine).
+  [[nodiscard]] sim::Trace& trace() noexcept { return engine_->trace(); }
 
   /// Attach a telemetry sink to the whole deployment: the plant itself,
   /// the four EMS servers and the OTN mesh restorer start recording;
@@ -225,7 +226,6 @@ class NetworkModel {
   sim::Engine* engine_;
   topology::Graph graph_;
   Config config_;
-  sim::Trace trace_;
   dwdm::WavelengthGrid grid_;
   dwdm::ReachModel reach_;
 

@@ -118,9 +118,9 @@ void MigrationExecutor::pump() {
     if (should_abort(&why)) {
       c.report.aborted = true;
       c.report.abort_reason = std::move(why);
-      if (telemetry::Telemetry* t = controller_->model().telemetry())
-        t->event(telemetry::Severity::kWarn, "reopt", "reopt",
-                 "campaign aborted: " + c.report.abort_reason);
+      engine_->trace().emit(engine_->now(), sim::TraceLevel::kWarn, "reopt",
+                            "reopt",
+                            "campaign aborted: " + c.report.abort_reason);
     }
   }
   if (c.report.aborted) {
@@ -359,10 +359,11 @@ bool MigrationExecutor::try_break_cycle() {
   }
   if (launch(pick, scratch, /*scratch_hop=*/true)) {
     ++c.report.cycle_breaks;
-    if (telemetry::Telemetry* t = controller_->model().telemetry())
-      t->event(telemetry::Severity::kInfo, "reopt", "reopt",
-               "breaking dependency cycle via bridge channel, connection " +
-                   std::to_string(c.nodes[pick].move.id.value()));
+    engine_->trace().emit(
+        engine_->now(), sim::TraceLevel::kInfo, "reopt", "reopt",
+        "breaking dependency cycle via bridge channel, connection " +
+            std::to_string(c.nodes[pick].move.id.value()),
+        core::telemetry_tag(c.nodes[pick].move.id));
   }
   return true;
 }

@@ -34,15 +34,15 @@ void ReoptService::schedule_tick() {
 
 void ReoptService::on_tick() {
   if (!running_) return;
+  sim::Engine& engine = controller_->model().engine();
   // Hold the trip during a restoration storm: campaign rolls would
   // compete with restorations for wavelengths and EMS dialogue slots,
   // and capacity freed by a move is better spent re-arming the
   // restoration backlog than chasing a fragmentation score mid-crisis.
   if (controller_->restoration_storm_active()) {
     ++stats_.campaigns_held_storm;
-    if (telemetry::Telemetry* t = controller_->model().telemetry())
-      t->event(telemetry::Severity::kInfo, "reopt", "reopt",
-               "tick held: restoration storm active");
+    engine.trace().emit(engine.now(), sim::TraceLevel::kInfo, "reopt",
+                        "reopt", "tick held: restoration storm active");
     sync_metrics();
     if (running_) schedule_tick();
     return;
@@ -53,11 +53,11 @@ void ReoptService::on_tick() {
   if (report.mean_score > params_.trip_threshold && !executor_.running()) {
     MigrationPlan plan = plan_now();
     if (plan.moves.size() >= params_.min_moves) {
-      if (telemetry::Telemetry* t = controller_->model().telemetry())
-        t->event(telemetry::Severity::kInfo, "reopt", "reopt",
-                 "fragmentation " + std::to_string(report.mean_score) +
-                     " tripped threshold; campaign of " +
-                     std::to_string(plan.moves.size()) + " moves");
+      engine.trace().emit(engine.now(), sim::TraceLevel::kInfo, "reopt",
+                          "reopt",
+                          "fragmentation " + std::to_string(report.mean_score) +
+                              " tripped threshold; campaign of " +
+                              std::to_string(plan.moves.size()) + " moves");
       ++stats_.campaigns_started;
       executor_.run(std::move(plan),
                     [this](const MigrationExecutor::CampaignReport& r) {

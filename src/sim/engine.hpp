@@ -4,6 +4,8 @@
 // in GRIPhoN (EMS, device, controller, protocol channel, workload source)
 // schedules callbacks on one Engine. Events at equal timestamps fire in
 // scheduling order (FIFO tie-break), which makes runs fully deterministic.
+// The engine also owns the deployment's one event ring (sim::Trace): every
+// component that can stamp now() can log a transition.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "sim/trace.hpp"
 
 namespace griphon::sim {
 
@@ -46,6 +49,10 @@ class Engine {
   /// Engine-owned RNG; all stochastic models should draw from it (or from
   /// forks of it) for reproducibility.
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
+
+  /// The event ring every component logs its transitions to.
+  [[nodiscard]] Trace& trace() noexcept { return trace_; }
+  [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
 
   /// Schedule `fn` to run `delay` from now. Negative delays are clamped to
   /// zero (i.e. "run as soon as possible, after already-queued events at
@@ -105,6 +112,7 @@ class Engine {
   std::uint64_t popped_seq_ = 0;
   std::uint64_t drained_seq_ = 0;
   Rng rng_;
+  Trace trace_;
 };
 
 }  // namespace griphon::sim

@@ -4,12 +4,12 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace griphon::sim {
 
 const char* to_string(TraceLevel level) noexcept {
   switch (level) {
-    case TraceLevel::kDebug:
-      return "DEBUG";
     case TraceLevel::kInfo:
       return "INFO";
     case TraceLevel::kWarn:
@@ -21,11 +21,9 @@ const char* to_string(TraceLevel level) noexcept {
 }
 
 void Trace::emit(SimTime when, TraceLevel level, std::string actor,
-                 std::string event, std::string detail) {
-  if (level < min_level_) return;
+                 std::string event, std::string detail, CorrelationTag tag) {
   TraceRecord record{when, level, std::move(actor), std::move(event),
-                     std::move(detail)};
-  if (echo_ != nullptr) *echo_ << record << '\n';
+                     std::move(detail), tag};
   if (capacity_ != 0 && records_.size() == capacity_) {
     // Ring full: overwrite the oldest slot in place instead of shifting.
     records_[head_] = std::move(record);
@@ -76,34 +74,6 @@ std::size_t Trace::count(std::string_view event) const {
                     [&](const TraceRecord& r) { return r.event == event; }));
 }
 
-namespace {
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-}  // namespace
-
 std::string Trace::to_json() const {
   normalize();
   std::ostringstream os;
@@ -119,7 +89,7 @@ std::string Trace::to_json() const {
     json_escape(os, r.event);
     os << "\",\"detail\":\"";
     json_escape(os, r.detail);
-    os << "\"}";
+    os << "\",\"tag\":" << r.tag << "}";
   }
   os << "]}";
   return os.str();
@@ -129,6 +99,7 @@ std::ostream& operator<<(std::ostream& os, const TraceRecord& r) {
   os << '[' << std::fixed << std::setprecision(3) << to_seconds(r.when)
      << "s] " << to_string(r.level) << ' ' << r.actor << ' ' << r.event;
   if (!r.detail.empty()) os << " (" << r.detail << ')';
+  if (r.tag != 0) os << " #" << r.tag;
   return os;
 }
 

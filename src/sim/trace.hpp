@@ -1,39 +1,50 @@
-// Structured trace log for the simulator.
+// The simulator's one event ring: "what happened and when".
 //
-// Components append records (time, actor, event, detail). Tests assert on
-// the sequence; benches and examples can print it. Kept as values, not
-// formatted strings, so consumers can filter cheaply.
+// Components append records (time, level, actor, event, detail,
+// correlation tag) at notable transitions — connection lifecycle changes,
+// command retries, fiber cuts, EMS crashes, breaker open/close, resync
+// audits, injected faults, SLO alerts, reopt campaigns. The ring is owned
+// by sim::Engine, so it is always on and every emitter stamps the engine's
+// clock. Kept as values, not formatted strings, so consumers can filter
+// cheaply; TraceExporter turns retained records into Chrome-trace instants.
 #pragma once
 
+#include <cstddef>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/ids.hpp"
 #include "common/units.hpp"
 
 namespace griphon::sim {
 
-enum class TraceLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+enum class TraceLevel { kInfo, kWarn, kError };
 
 [[nodiscard]] const char* to_string(TraceLevel level) noexcept;
 
 struct TraceRecord {
   SimTime when{};
   TraceLevel level = TraceLevel::kInfo;
-  std::string actor;   ///< e.g. "roadm-ems/2", "controller"
-  std::string event;   ///< e.g. "xconnect", "alarm", "setup-done"
+  std::string actor;   ///< e.g. "roadm-ems", "controller", "slo-monitor"
+  std::string event;   ///< e.g. "setup-done", "fiber-cut", "slo", "breaker"
   std::string detail;  ///< free-form context
+  CorrelationTag tag = 0;  ///< connection correlation (0 = untagged)
 };
 
 /// Owner-thread only (DESIGN.md §15): the simulation thread emits and
 /// reads; nothing here is locked.
 class Trace {
  public:
-  void emit(SimTime when, TraceLevel level, std::string actor,
-            std::string event, std::string detail = {});
+  static constexpr std::size_t kDefaultCapacity = 4096;
 
-  /// Retained records, oldest first. With a capacity set, only the newest
-  /// `capacity` records survive (see set_capacity).
+  void emit(SimTime when, TraceLevel level, std::string actor,
+            std::string event, std::string detail = {},
+            CorrelationTag tag = 0);
+
+  /// Retained records, oldest first: only the newest `capacity` records
+  /// survive (see set_capacity).
   [[nodiscard]] const std::vector<TraceRecord>& records() const;
   void clear() {
     records_.clear();
@@ -45,27 +56,17 @@ class Trace {
   /// Number of retained records whose event name matches exactly.
   [[nodiscard]] std::size_t count(std::string_view event) const;
 
-  /// Minimum level retained; below it emit() is a no-op.
-  void set_min_level(TraceLevel level) {
-    min_level_ = level;
-  }
-
-  /// Bound the trace to a ring of the newest `capacity` records; 0 (the
-  /// default) keeps everything. Soak runs and long benches set a bound so
-  /// the trace cannot grow without limit; shrinking below the current size
-  /// drops the oldest records immediately.
+  /// Bound the ring to the newest `capacity` records (default
+  /// kDefaultCapacity, so long runs stay O(capacity) in memory); 0 keeps
+  /// everything. Shrinking below the current size drops the oldest
+  /// records immediately.
   void set_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t capacity() const {
     return capacity_;
   }
-  /// Records evicted by the ring so far (0 while unbounded).
+  /// Records evicted by the ring so far.
   [[nodiscard]] std::size_t dropped_count() const {
     return dropped_;
-  }
-
-  /// Mirror records to a stream as they are emitted (for examples/demos).
-  void echo_to(std::ostream* os) {
-    echo_ = os;
   }
 
   /// Serialize retained records for offline tooling:
@@ -81,14 +82,13 @@ class Trace {
   mutable std::vector<TraceRecord> records_;
   /// Ring start when size == capacity.
   mutable std::size_t head_ = 0;
-  std::size_t capacity_ = 0;  ///< 0 = unbounded
+  std::size_t capacity_ = kDefaultCapacity;  ///< 0 = unbounded
   std::size_t dropped_ = 0;
   /// First-drop warning already emitted.
   bool overflow_warned_ = false;
-  TraceLevel min_level_ = TraceLevel::kDebug;
-  std::ostream* echo_ = nullptr;
 };
 
+/// One line: "[t s] LEVEL actor event (detail) #tag".
 std::ostream& operator<<(std::ostream& os, const TraceRecord& r);
 
 }  // namespace griphon::sim

@@ -5,7 +5,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "telemetry/json_util.hpp"
+#include "common/json.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace griphon::telemetry {

@@ -3,7 +3,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "telemetry/event_log.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -83,12 +82,13 @@ void SloMonitor::evaluate(State& s) {
             .gauge("griphon_slo_alert_active",
                    "1 while the objective's alert is firing", labels)
             ->set(1);
-        std::ostringstream msg;
-        msg << s.objective.name << " out of budget: " << std::fixed
-            << std::setprecision(3) << v << " > " << s.objective.bound
-            << " (" << s.objective.description << ")";
-        t->event(Severity::kError, "slo", "slo-monitor", msg.str());
       }
+      std::ostringstream msg;
+      msg << s.objective.name << " out of budget: " << std::fixed
+          << std::setprecision(3) << v << " > " << s.objective.bound << " ("
+          << s.objective.description << ")";
+      engine_->trace().emit(engine_->now(), sim::TraceLevel::kError,
+                            "slo-monitor", "slo", msg.str());
     }
   } else {
     s.bad_streak = 0;
@@ -100,11 +100,12 @@ void SloMonitor::evaluate(State& s) {
             .gauge("griphon_slo_alert_active",
                    "1 while the objective's alert is firing", labels)
             ->set(0);
-        std::ostringstream msg;
-        msg << s.objective.name << " back in budget: " << std::fixed
-            << std::setprecision(3) << v << " <= " << s.objective.bound;
-        t->event(Severity::kInfo, "slo", "slo-monitor", msg.str());
       }
+      std::ostringstream msg;
+      msg << s.objective.name << " back in budget: " << std::fixed
+          << std::setprecision(3) << v << " <= " << s.objective.bound;
+      engine_->trace().emit(engine_->now(), sim::TraceLevel::kInfo,
+                            "slo-monitor", "slo", msg.str());
     }
   }
 }

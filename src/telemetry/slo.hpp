@@ -9,9 +9,9 @@
 // `clear_after` consecutive healthy ones — a single noisy window neither
 // pages nor silences.
 //
-// Firing/clearing writes an EventLog entry (category "slo") and updates
-// griphon_slo_* metrics, so alerts appear in the trace export, the shell
-// dashboard, and the Prometheus dump alike.
+// Firing/clearing writes an `slo` record to the engine's event ring and
+// updates griphon_slo_* metrics, so alerts appear in the trace export, the
+// shell dashboard, and the Prometheus dump alike.
 #pragma once
 
 #include <cmath>

@@ -3,7 +3,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "telemetry/json_util.hpp"
+#include "common/json.hpp"
 
 namespace griphon::telemetry {
 

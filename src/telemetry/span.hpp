@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/ids.hpp"
 #include "common/units.hpp"
 
 namespace griphon::telemetry {
@@ -28,11 +29,6 @@ namespace griphon::telemetry {
 /// "root", end(0) is a no-op — instrumentation can pass handles around
 /// unconditionally.
 using SpanId = std::uint64_t;
-
-/// Correlation tag grouping spans of one operation across components; by
-/// convention core::telemetry_tag(ConnectionId) = id value + 1.
-/// 0 = untagged (global/plant spans).
-using CorrelationTag = std::uint64_t;
 
 struct Span {
   SpanId id = 0;

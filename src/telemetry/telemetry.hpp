@@ -1,5 +1,7 @@
-// Telemetry facade: one MetricsRegistry + one SpanTracer + one EventLog
-// per deployment, stamped with the deployment's simulated clock.
+// Telemetry facade: one MetricsRegistry + one SpanTracer per deployment,
+// stamped with the deployment's simulated clock. The "what happened and
+// when" stream is not here: it is the engine's always-on event ring
+// (sim::Trace), reachable through trace() for export.
 //
 // Attach with NetworkModel::attach_telemetry(&t) before driving traffic;
 // every instrumented component (GriphonController, EmsServer, RwaEngine,
@@ -14,7 +16,6 @@
 #include <utility>
 
 #include "sim/engine.hpp"
-#include "telemetry/event_log.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 
@@ -33,8 +34,9 @@ class Telemetry {
   }
   [[nodiscard]] SpanTracer& spans() noexcept { return spans_; }
   [[nodiscard]] const SpanTracer& spans() const noexcept { return spans_; }
-  [[nodiscard]] EventLog& events() noexcept { return events_; }
-  [[nodiscard]] const EventLog& events() const noexcept { return events_; }
+  [[nodiscard]] const sim::Trace& trace() const noexcept {
+    return engine_->trace();
+  }
   [[nodiscard]] SimTime now() const noexcept { return engine_->now(); }
 
   // Convenience wrappers stamping the simulated clock.
@@ -52,13 +54,6 @@ class Telemetry {
     return spans_.record(std::move(name), std::move(actor), tag, parent,
                          start, end, ok, std::move(detail));
   }
-  /// Append a structured event stamped with the simulated clock.
-  void event(Severity severity, std::string category, std::string actor,
-             std::string message, CorrelationTag tag = 0) {
-    events_.log(engine_->now(), severity, std::move(category),
-                std::move(actor), std::move(message), tag);
-  }
-
   // --- failure-detect bookkeeping -----------------------------------------
   // The plant knows when a fiber died; the failure manager only sees the
   // first alarm. note_link_failed() parks the cut instant so the manager
@@ -82,7 +77,6 @@ class Telemetry {
   sim::Engine* engine_;
   MetricsRegistry metrics_;
   SpanTracer spans_;
-  EventLog events_;
   std::unordered_map<std::uint64_t, SimTime> pending_detect_;
 };
 

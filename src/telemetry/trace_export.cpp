@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
 
-#include "telemetry/json_util.hpp"
+#include "common/json.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace griphon::telemetry {
@@ -76,7 +77,7 @@ void emit_span_args(std::ostream& os, const Span& s, bool closing,
 
 std::string TraceExporter::to_json(const SpanTracer& tracer,
                                    SimTime export_now,
-                                   const EventLog* events) const {
+                                   const sim::Trace* ring) const {
   const std::int64_t now_us = export_now.count();
 
   // --- actor → pid table, in first-appearance order (deterministic:
@@ -141,12 +142,14 @@ std::string TraceExporter::to_json(const SpanTracer& tracer,
 
   // Instant events ride a dedicated lane one past the span lanes of
   // their actor's pid, so timestamps stay monotonic per tid even though
-  // instants are emitted after all span events. Register event actors
+  // instants are emitted after all span events. Register record actors
   // now so they get process_name metadata below.
-  const bool with_instants =
-      options_.include_instants && events != nullptr && events->size() > 0;
-  if (with_instants)
-    for (const Event& e : events->events()) pid_for(e.actor);
+  const std::vector<sim::TraceRecord> no_records;
+  const std::vector<sim::TraceRecord>& records =
+      ring != nullptr ? ring->records() : no_records;
+  std::set<int> instant_pids;
+  for (const sim::TraceRecord& r : records)
+    instant_pids.insert(pid_for(r.actor));
   const auto instant_tid = [&](int pid) {
     const auto it = lanes_of.find(pid);
     return it == lanes_of.end() ? 0 : static_cast<int>(it->second.size());
@@ -165,33 +168,25 @@ std::string TraceExporter::to_json(const SpanTracer& tracer,
     os << "\n";
   };
 
-  if (options_.include_metadata) {
-    for (std::size_t i = 0; i < actors.size(); ++i) {
+  for (std::size_t i = 0; i < actors.size(); ++i) {
+    sep();
+    os << "{\"name\":\"process_name\",";
+    emit_common(os, "M", 0, static_cast<int>(i) + 1, 0);
+    os << ",\"args\":{\"name\":" << json_quote(actors[i]) << "}}";
+  }
+  for (const auto& [pid, lanes] : lanes_of) {
+    for (std::size_t t = 0; t < lanes.size(); ++t) {
       sep();
-      os << "{\"name\":\"process_name\",";
-      emit_common(os, "M", 0, static_cast<int>(i) + 1, 0);
-      os << ",\"args\":{\"name\":" << json_quote(actors[i]) << "}}";
+      os << "{\"name\":\"thread_name\",";
+      emit_common(os, "M", 0, pid, static_cast<int>(t));
+      os << ",\"args\":{\"name\":\"lane-" << t << "\"}}";
     }
-    for (const auto& [pid, lanes] : lanes_of) {
-      for (std::size_t t = 0; t < lanes.size(); ++t) {
-        sep();
-        os << "{\"name\":\"thread_name\",";
-        emit_common(os, "M", 0, pid, static_cast<int>(t));
-        os << ",\"args\":{\"name\":\"lane-" << t << "\"}}";
-      }
-    }
-    if (with_instants) {
-      std::map<int, bool> instant_pids;
-      for (const Event& e : events->events())
-        instant_pids[pid_for(e.actor)] = true;
-      for (const auto& [pid, unused] : instant_pids) {
-        (void)unused;
-        sep();
-        os << "{\"name\":\"thread_name\",";
-        emit_common(os, "M", 0, pid, instant_tid(pid));
-        os << ",\"args\":{\"name\":\"events\"}}";
-      }
-    }
+  }
+  for (const int pid : instant_pids) {
+    sep();
+    os << "{\"name\":\"thread_name\",";
+    emit_common(os, "M", 0, pid, instant_tid(pid));
+    os << ",\"args\":{\"name\":\"events\"}}";
   }
 
   const auto emit_begin = [&](const Prepared& p) {
@@ -228,18 +223,17 @@ std::string TraceExporter::to_json(const SpanTracer& tracer,
     }
   }
 
-  if (with_instants) {
-    for (const Event& e : events->events()) {
-      sep();
-      const int pid = pid_for(e.actor);
-      os << "{\"name\":" << json_quote(e.category + ": " + e.message) << ",";
-      emit_common(os, "i", e.when.count(), pid, instant_tid(pid));
-      os << ",\"s\":\"p\",\"args\":{\"severity\":\""
-         << telemetry::to_string(e.severity) << "\"";
-      if (e.tag != 0)
-        os << ",\"tag\":" << e.tag << ",\"connection\":" << (e.tag - 1);
-      os << "}}";
-    }
+  for (const sim::TraceRecord& r : records) {
+    sep();
+    const int pid = pid_for(r.actor);
+    os << "{\"name\":" << json_quote(r.event) << ",";
+    emit_common(os, "i", r.when.count(), pid, instant_tid(pid));
+    os << ",\"s\":\"p\",\"args\":{\"level\":\"" << sim::to_string(r.level)
+       << "\"";
+    if (!r.detail.empty()) os << ",\"detail\":" << json_quote(r.detail);
+    if (r.tag != 0)
+      os << ",\"tag\":" << r.tag << ",\"connection\":" << (r.tag - 1);
+    os << "}}";
   }
 
   os << "\n],\"displayTimeUnit\":\"ms\"}";
@@ -247,7 +241,7 @@ std::string TraceExporter::to_json(const SpanTracer& tracer,
 }
 
 std::string TraceExporter::to_json(const Telemetry& telemetry) const {
-  return to_json(telemetry.spans(), telemetry.now(), &telemetry.events());
+  return to_json(telemetry.spans(), telemetry.now(), &telemetry.trace());
 }
 
 }  // namespace griphon::telemetry

@@ -1,4 +1,4 @@
-// Chrome Trace Event JSON export for SpanTracer trees + EventLog events.
+// Chrome Trace Event JSON export for SpanTracer trees + the event ring.
 //
 // The output loads directly in Perfetto (https://ui.perfetto.dev) or
 // chrome://tracing. Mapping:
@@ -15,12 +15,12 @@
 //           events, so trace tooling can verify pairing). Spans still
 //           open at export are closed at the export instant and flagged
 //           with args {"incomplete": true}.
-//  * i    — EventLog entries (faults, breaker trips, retries, SLO
-//           alerts) become process-scoped instant events on the actor's
-//           pid.
+//  * i    — every retained sim::Trace record (lifecycle transitions,
+//           faults, breaker trips, retries, SLO alerts) becomes a
+//           process-scoped instant event on its actor's pid.
 //  * args — correlation: "tag" (telemetry tag) and "connection"
-//           (ConnectionId = tag - 1) ride on every tagged span so a
-//           whole connection lifecycle can be found with one query.
+//           (ConnectionId = tag - 1) ride on every tagged span and record
+//           so a whole connection lifecycle can be found with one query.
 //
 // Timestamps are the span's SimTime in integer microseconds — SimTime's
 // native resolution — so export is exact and byte-deterministic: two
@@ -30,7 +30,7 @@
 #include <string>
 
 #include "common/units.hpp"
-#include "telemetry/event_log.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/span.hpp"
 
 namespace griphon::telemetry {
@@ -39,26 +39,16 @@ class Telemetry;
 
 class TraceExporter {
  public:
-  struct Options {
-    bool include_metadata = true;  ///< process_name / thread_name events
-    bool include_instants = true;  ///< EventLog entries as "i" events
-  };
-
-  TraceExporter() = default;
-  explicit TraceExporter(Options options) : options_(options) {}
-
-  /// Serialize `tracer` (and optionally `events`) to Chrome Trace Event
-  /// JSON. `export_now` closes still-open spans (flagged incomplete).
+  /// Serialize `tracer` (and optionally the records retained by `ring`)
+  /// to Chrome Trace Event JSON. `export_now` closes still-open spans
+  /// (flagged incomplete).
   [[nodiscard]] std::string to_json(const SpanTracer& tracer,
                                     SimTime export_now,
-                                    const EventLog* events = nullptr) const;
+                                    const sim::Trace* ring = nullptr) const;
 
-  /// Convenience: export a Telemetry facade's spans + event log at its
-  /// current sim clock.
+  /// Convenience: export a Telemetry facade's spans + its engine's event
+  /// ring at the current sim clock.
   [[nodiscard]] std::string to_json(const Telemetry& telemetry) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace griphon::telemetry

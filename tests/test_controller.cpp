@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "ems/ems_server.hpp"
 #include "proto/messages.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace_export.hpp"
 
 namespace griphon::core {
 namespace {
@@ -571,6 +575,56 @@ TEST(Controller, RollbackRespectsReverseDependencies) {
     SCOPED_TRACE(params.exec_mode == ExecMode::kDag ? "dag" : "sequential");
     check_rollback_order(params);
   }
+}
+
+/// Ring records named `event`, and the tags they carry (oldest first).
+std::vector<CorrelationTag> tags_of(const sim::Trace& ring,
+                                    const std::string& event) {
+  std::vector<CorrelationTag> tags;
+  for (const sim::TraceRecord& r : ring.records())
+    if (r.event == event) tags.push_back(r.tag);
+  return tags;
+}
+
+TEST(ControllerTrace, OneTaggedRecordPerTransition) {
+  // The engine's ring is the one "what happened" stream: a transition is
+  // logged once, tagged with its connection, whether or not telemetry is
+  // attached, and the trace export shows it as an instant event.
+  TestbedScenario s(67);
+  telemetry::Telemetry tel(&s.engine);
+  s.model->attach_telemetry(&tel);
+  const auto id = connect_sync(s, s.site_i, s.site_iv, rates::k10G,
+                               ProtectionMode::kRestorable);
+  const std::vector<CorrelationTag> one{telemetry_tag(id)};
+  EXPECT_EQ(tags_of(s.engine.trace(), "request"), one);
+  EXPECT_EQ(tags_of(s.engine.trace(), "setup-done"), one);
+  const std::string json = telemetry::TraceExporter().to_json(tel);
+  const std::size_t at = json.find("{\"name\":\"setup-done\",\"ph\":\"i\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::string instant = json.substr(at, json.find('\n', at) - at);
+  EXPECT_NE(instant.find("\"connection\":" + std::to_string(id.value())),
+            std::string::npos)
+      << instant;
+  s.model->attach_telemetry(nullptr);
+}
+
+TEST(ControllerTrace, SetupFailedRecordCarriesItsTag) {
+  // A forced setup failure names its connection through the tag too.
+  TestbedScenario f(66);
+  RollbackOrderProbe veto(&f.engine);
+  f.model->roadm_ems().set_fault_hook(&veto);
+  std::optional<Result<ConnectionId>> result;
+  f.portal->connect(f.site_i, f.site_iv, rates::k10G,
+                    ProtectionMode::kUnprotected,
+                    [&](Result<ConnectionId> r) { result = std::move(r); });
+  f.engine.run();
+  ASSERT_TRUE(result.has_value());
+  ASSERT_FALSE(result->ok());
+  const std::vector<CorrelationTag> requested =
+      tags_of(f.engine.trace(), "request");
+  ASSERT_EQ(requested.size(), 1u);
+  EXPECT_NE(requested.front(), 0u);
+  EXPECT_EQ(tags_of(f.engine.trace(), "setup-failed"), requested);
 }
 
 TEST(ControllerRoll, OldEndpointOtsStayOutOfThePoolUntilReset) {

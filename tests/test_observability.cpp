@@ -1,5 +1,5 @@
 // Observability v2 (DESIGN.md §14): Chrome-trace export, gauge sampler,
-// event log, and SLO alerting with hysteresis.
+// the event ring's export, and SLO alerting with hysteresis.
 //
 // The export tests verify the Chrome Trace Event invariants that
 // tools/validate_trace.py enforces on CI artifacts — matched B/E pairs
@@ -18,7 +18,6 @@
 #include "chaos/fault_plan.hpp"
 #include "core/observability.hpp"
 #include "core/scenario.hpp"
-#include "telemetry/event_log.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/telemetry.hpp"
@@ -73,46 +72,6 @@ TEST(TimeSeries, SparklineScalesToRetainedRange) {
   flat.push(seconds(1), 5);
   const std::string f = flat.spark(8);
   EXPECT_EQ(f[0], f[1]);  // flat series render uniformly
-}
-
-// --- EventLog ---------------------------------------------------------------
-
-TEST(EventLog, RingBoundsAndCountsDrops) {
-  EventLog log(3);
-  for (int i = 0; i < 7; ++i)
-    log.log(seconds(i), Severity::kInfo, "lifecycle", "controller",
-            "e" + std::to_string(i), static_cast<CorrelationTag>(i));
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.dropped_count(), 4u);
-  EXPECT_EQ(log.events().front().message, "e4");  // newest retained
-  EXPECT_EQ(log.events().back().message, "e6");
-  EXPECT_NE(log.to_json().find("\"dropped\":4"), npos);
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.dropped_count(), 0u);
-}
-
-TEST(EventLog, SeverityAndCategoryFilters) {
-  EventLog log;
-  log.log(seconds(1), Severity::kDebug, "lifecycle", "controller", "a");
-  log.log(seconds(2), Severity::kWarn, "breaker", "roadm-ems", "b");
-  log.log(seconds(3), Severity::kError, "slo", "slo-monitor", "c");
-  EXPECT_EQ(log.at_least(Severity::kWarn).size(), 2u);
-  EXPECT_EQ(log.at_least(Severity::kError).size(), 1u);
-  ASSERT_EQ(log.for_category("breaker").size(), 1u);
-  EXPECT_EQ(log.for_category("breaker")[0]->message, "b");
-}
-
-TEST(EventLog, TelemetryFacadeStampsSimTime) {
-  sim::Engine engine;
-  Telemetry tel(&engine);
-  engine.schedule(seconds(42), [&] {
-    tel.event(Severity::kWarn, "fault", "chaos", "ot laser died", 7);
-  });
-  engine.run();
-  ASSERT_EQ(tel.events().size(), 1u);
-  EXPECT_EQ(tel.events().events().front().when, seconds(42));
-  EXPECT_EQ(tel.events().events().front().tag, 7u);
 }
 
 // --- GaugeSampler -----------------------------------------------------------
@@ -261,25 +220,47 @@ TEST(TraceExporter, ExportIsByteDeterministicAcrossRuns) {
   EXPECT_EQ(count_of(c, "\"ph\":\"B\""), count_of(c, "\"ph\":\"E\""));
 }
 
-TEST(TraceExporter, EventLogEntriesBecomeInstantEvents) {
+TEST(Telemetry, FacadeSeesTheEngineRing) {
+  sim::Engine engine;
+  Telemetry tel(&engine);
+  EXPECT_EQ(&tel.trace(), &engine.trace());
+  engine.schedule(seconds(42), [&] {
+    engine.trace().emit(engine.now(), sim::TraceLevel::kWarn, "chaos",
+                        "ot-fail", "ot laser died", 7);
+  });
+  engine.run();
+  ASSERT_EQ(tel.trace().records().size(), 1u);
+  EXPECT_EQ(tel.trace().records().front().when, seconds(42));
+  EXPECT_EQ(tel.trace().records().front().tag, 7u);
+}
+
+TEST(TraceExporter, RingRecordsBecomeInstantEvents) {
   sim::Engine engine;
   Telemetry tel(&engine);
   tel.spans().record("connection_setup", "controller", 1, 0, seconds(0),
                      seconds(20));
+  const std::string bare = TraceExporter().to_json(tel);  // empty ring
   engine.schedule(seconds(5), [&] {
-    tel.event(Severity::kWarn, "fault", "chaos", "injected nack", 1);
+    engine.trace().emit(engine.now(), sim::TraceLevel::kWarn, "chaos",
+                        "nack", "injected nack", 1);
   });
   engine.run();
   const std::string json = TraceExporter().to_json(tel);
   EXPECT_EQ(count_of(json, "\"ph\":\"i\""), 1u);
+  EXPECT_NE(json.find("\"name\":\"nack\",\"ph\":\"i\",\"ts\":5000000"),
+            npos);
   EXPECT_NE(json.find("\"s\":\"p\""), npos);  // process scope
-  EXPECT_NE(json.find("injected nack"), npos);
-  // Disabled via options: instants disappear, spans stay.
-  TraceExporter::Options opt;
-  opt.include_instants = false;
-  const std::string bare = TraceExporter(opt).to_json(tel);
+  EXPECT_NE(json.find("\"detail\":\"injected nack\""), npos);
+  EXPECT_NE(json.find("\"tag\":1,\"connection\":0}"), npos);
+  // An empty ring exports no instants; the span is the same either way.
   EXPECT_EQ(count_of(bare, "\"ph\":\"i\""), 0u);
-  EXPECT_EQ(count_of(bare, "\"ph\":\"B\""), 1u);
+  const auto begin_line = [](const std::string& j) {
+    const std::size_t at = j.find("\"ph\":\"B\"");
+    const std::size_t from = j.rfind('\n', at);
+    return j.substr(from, j.find('\n', at) - from);
+  };
+  EXPECT_EQ(count_of(json, "\"ph\":\"B\""), 1u);
+  EXPECT_EQ(begin_line(json), begin_line(bare));
 }
 
 // --- SloMonitor -------------------------------------------------------------
@@ -319,8 +300,10 @@ TEST(SloMonitor, HysteresisGatesFireAndClear) {
   EXPECT_EQ(slo.evaluate_now(), 0u);
   EXPECT_FALSE(slo.alerting("test_objective"));
 
-  // Fire + clear left an audit trail: slo events and metrics.
-  EXPECT_EQ(tel.events().for_category("slo").size(), 2u);
+  // Fire + clear left an audit trail: slo ring records and metrics.
+  EXPECT_EQ(engine.trace().count("slo"), 2u);
+  EXPECT_EQ(engine.trace().records().front().level, sim::TraceLevel::kError);
+  EXPECT_EQ(engine.trace().records().back().level, sim::TraceLevel::kInfo);
   const auto* fired =
       tel.metrics().find_counter("griphon_slo_alerts_fired_total",
                                  {{"objective", "test_objective"}});
@@ -370,6 +353,8 @@ TEST(SloMonitor, PeriodicEvaluationRidesTheSimClock) {
   slo.stop();
   engine.run();  // no pending event survives stop()
   EXPECT_EQ(slo.active_alerts(), 1u);
+  // The ring logs the alert with telemetry off too.
+  EXPECT_EQ(engine.trace().count("slo"), 1u);
 }
 
 // --- SLO regression: chaos-induced restoration-budget violation -------------
@@ -429,8 +414,9 @@ TEST(SloRegression, RestorationBudgetViolationFiresAndClears) {
   EXPECT_EQ(slo.evaluate_now(), 0u);  // violation 1 of trip_after=2
   EXPECT_EQ(slo.evaluate_now(), 1u);  // fires
   EXPECT_TRUE(slo.alerting(obj.name));
-  ASSERT_EQ(tel.events().for_category("slo").size(), 1u);
-  EXPECT_EQ(tel.events().for_category("slo")[0]->severity, Severity::kError);
+  ASSERT_EQ(s.engine.trace().count("slo"), 1u);
+  EXPECT_EQ(s.engine.trace().records().back().event, "slo");
+  EXPECT_EQ(s.engine.trace().records().back().level, sim::TraceLevel::kError);
 
   // Chaos-free fail/repair cycles: each restoration is fast, and the
   // growing healthy population pulls the cumulative p95 under budget.
@@ -455,7 +441,8 @@ TEST(SloRegression, RestorationBudgetViolationFiresAndClears) {
   EXPECT_TRUE(slo.alerting(obj.name));
   EXPECT_EQ(slo.evaluate_now(), 0u);  // clears
   EXPECT_FALSE(slo.alerting(obj.name));
-  EXPECT_EQ(tel.events().for_category("slo").size(), 2u);
+  EXPECT_EQ(s.engine.trace().count("slo"), 2u);
+  EXPECT_EQ(s.engine.trace().records().back().event, "slo");
   EXPECT_TRUE(tel.metrics().invalid_names().empty());
   s.model->attach_telemetry(nullptr);
 }

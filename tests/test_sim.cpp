@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event engine and trace log.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -213,15 +215,6 @@ TEST(Trace, CountsByEvent) {
   EXPECT_EQ(t.count("missing"), 0u);
 }
 
-TEST(Trace, MinLevelFilters) {
-  Trace t;
-  t.set_min_level(TraceLevel::kWarn);
-  t.emit(seconds(1), TraceLevel::kDebug, "a", "quiet");
-  t.emit(seconds(1), TraceLevel::kError, "a", "loud");
-  ASSERT_EQ(t.records().size(), 1u);
-  EXPECT_EQ(t.records()[0].event, "loud");
-}
-
 TEST(Trace, JsonExportIsWellFormedAndEscaped) {
   Trace t;
   t.emit(milliseconds(1500), TraceLevel::kInfo, "controller", "setup-done",
@@ -263,13 +256,42 @@ TEST(Trace, JsonEscapesControlCharacters) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
 }
 
-TEST(Trace, UnboundedByDefault) {
+TEST(Trace, BoundedByDefault) {
+  // A long run with default settings keeps memory bounded: the engine's
+  // ring holds the newest kDefaultCapacity records and counts the rest as
+  // dropped.
+  Engine e;
+  Trace& t = e.trace();
+  EXPECT_EQ(t.capacity(), Trace::kDefaultCapacity);
+  EXPECT_EQ(Trace::kDefaultCapacity, 4096u);
+  const std::size_t emitted = Trace::kDefaultCapacity + 100;
+  for (std::size_t i = 0; i < emitted; ++i)
+    t.emit(seconds(static_cast<std::int64_t>(i)), TraceLevel::kInfo, "a",
+           "e" + std::to_string(i));
+  ASSERT_EQ(t.records().size(), Trace::kDefaultCapacity);
+  // emitted + 1 ring-full warning, less what the ring retains.
+  EXPECT_EQ(t.dropped_count(), 101u);
+  EXPECT_EQ(t.records().back().event, "e" + std::to_string(emitted - 1));
+  // 0 still means unbounded.
+  Trace unbounded;
+  unbounded.set_capacity(0);
+  for (std::size_t i = 0; i < emitted; ++i)
+    unbounded.emit(seconds(1), TraceLevel::kInfo, "a", "e");
+  EXPECT_EQ(unbounded.records().size(), emitted);
+  EXPECT_EQ(unbounded.dropped_count(), 0u);
+}
+
+TEST(Trace, RecordsCarryCorrelationTag) {
   Trace t;
-  for (int i = 0; i < 100; ++i)
-    t.emit(seconds(i), TraceLevel::kInfo, "a", "e");
-  EXPECT_EQ(t.capacity(), 0u);
-  EXPECT_EQ(t.records().size(), 100u);
-  EXPECT_EQ(t.dropped_count(), 0u);
+  t.emit(seconds(3), TraceLevel::kWarn, "chaos", "ot-fail", "ot 4", 7);
+  t.emit(seconds(4), TraceLevel::kInfo, "plant", "fiber-repair");
+  EXPECT_EQ(t.records()[0].tag, 7u);
+  EXPECT_EQ(t.records()[1].tag, 0u);  // untagged
+  EXPECT_NE(t.to_json().find("\"detail\":\"ot 4\",\"tag\":7}"),
+            std::string::npos);
+  std::ostringstream line;
+  line << t.records()[0];
+  EXPECT_EQ(line.str(), "[3.000s] WARN chaos ot-fail (ot 4) #7");
 }
 
 TEST(Trace, RingKeepsNewestInOrder) {
