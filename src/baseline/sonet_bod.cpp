@@ -2,6 +2,14 @@
 
 namespace griphon::baseline {
 
+namespace {
+
+/// Electronic cross-connect reconfiguration: minutes, not weeks.
+constexpr SimTime kProvisioningMin = seconds(60);
+constexpr SimTime kProvisioningMax = seconds(180);
+
+}  // namespace
+
 Result<SonetBodService::Provisioned> SonetBodService::request(NodeId src,
                                                               NodeId dst,
                                                               DataRate rate,
@@ -15,7 +23,7 @@ Result<SonetBodService::Provisioned> SonetBodService::request(NodeId src,
   Provisioned p;
   p.circuit = circuit.value();
   p.provisioning_time = from_seconds(rng.uniform(
-      to_seconds(params_.provisioning_min), to_seconds(params_.provisioning_max)));
+      to_seconds(kProvisioningMin), to_seconds(kProvisioningMax)));
   p.granted = sonet::vcat_rate(sts1);
   return p;
 }

@@ -80,7 +80,7 @@ Result<Window> ReservationCalendar::earliest_feasible(
   // of its first slot, so begin at the next edge unless aligned.
   if (SimTime{start * params_.slot.count()} < not_before) ++start;
   const SlotIndex limit =
-      start + params_.horizon.count() / params_.slot.count();
+      start + kHorizon.count() / params_.slot.count();
 
   while (start < limit) {
     // Check slots [start, start+needed) across all links; on the first

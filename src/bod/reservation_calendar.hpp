@@ -43,9 +43,9 @@ class ReservationCalendar {
     SimTime slot = minutes(5);  ///< slot width; windows round out to slots
     /// Capacity budget per link unless overridden via set_link_capacity.
     DataRate default_link_capacity = DataRate::gbps(40);
-    /// How far ahead earliest_feasible() searches before giving up.
-    SimTime horizon = hours(14 * 24);
   };
+  /// How far ahead earliest_feasible() searches before giving up.
+  static constexpr SimTime kHorizon = hours(14 * 24);
 
   ReservationCalendar() : ReservationCalendar(Params{}) {}
   explicit ReservationCalendar(Params params);

@@ -15,6 +15,12 @@ namespace {
 /// spaces can never collide in the calendar.
 constexpr std::uint64_t kAccessLinkBase = std::uint64_t{1} << 40;
 
+/// Base retry delay after a failed bundle setup; attempt n waits n x this.
+constexpr SimTime kSetupRetryBackoff = seconds(30);
+constexpr int kMaxSetupRetries = 3;
+/// Open-breaker deferrals (Params::unavailable_defer each) per piece.
+constexpr int kMaxUnavailableDefers = 20;
+
 }  // namespace
 
 TransferScheduler::TransferScheduler(core::GriphonController* controller,
@@ -339,7 +345,7 @@ void TransferScheduler::on_setup_result(TransferId id,
   }
 
   if (result.error().code() == ErrorCode::kUnavailable &&
-      p.defers < params_.max_unavailable_defers) {
+      p.defers < kMaxUnavailableDefers) {
     // The controller shed the setup because an EMS circuit breaker is
     // open: the command path is down, not this piece. Park it without
     // consuming a retry and come back once the breaker has had a chance
@@ -362,13 +368,13 @@ void TransferScheduler::on_setup_result(TransferId id,
   }
 
   ++p.attempts;
-  if (p.attempts <= params_.max_setup_retries) {
+  if (p.attempts <= kMaxSetupRetries) {
     // Transient setup failure: back off linearly and retry inside the
     // reserved window (the setup_pad exists to absorb exactly this).
     ++stats_.setup_retries;
     count("griphon_bod_setup_retries_total",
           "Bundle setups retried after a failure", t.customer);
-    engine_->schedule(params_.retry_backoff * p.attempts,
+    engine_->schedule(kSetupRetryBackoff * p.attempts,
                       [this, id, piece_index, epoch] {
                         const auto it2 = transfers_.find(id);
                         if (it2 == transfers_.end()) return;

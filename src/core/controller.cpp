@@ -11,6 +11,54 @@ namespace griphon::core {
 
 namespace {
 
+// Operating values of the controller (paper §2.2).
+
+/// Max dialogues in flight per EMS domain on the DAG executor.
+constexpr std::size_t kDagDomainWindow = 4;
+/// Route computation time inside the controller.
+constexpr SimTime kPathComputation = milliseconds(500);
+/// Traffic hit when rolling between bridged paths.
+constexpr SimTime kRollHit = milliseconds(50);
+
+/// Restoration retry backlog: a failed attempt waits kRestoreRetryBase x
+/// kRestoreRetryMultiplier^(n-1), capped at kRestoreRetryMax, and goes
+/// dormant after kMaxTimedRestoreRetries timed retries.
+constexpr int kMaxTimedRestoreRetries = 6;
+constexpr SimTime kRestoreRetryBase = seconds(10);
+constexpr double kRestoreRetryMultiplier = 2.0;
+constexpr SimTime kRestoreRetryMax = seconds(300);
+/// Preemption rounds (best-effort BoD windows freed for a gold
+/// restoration out of wavelengths) one connection may trigger before it
+/// has to wait for organic capacity.
+constexpr int kMaxPreemptionsPerConnection = 2;
+
+/// Backoff before restoration retry `attempt` (1-based). Deterministic
+/// (no jitter): chaos soaks compare digests across runs.
+SimTime restoration_retry_delay(int attempt) {
+  double delay = to_seconds(kRestoreRetryBase);
+  for (int i = 1; i < attempt; ++i) delay *= kRestoreRetryMultiplier;
+  return std::min(kRestoreRetryMax, from_seconds(delay));
+}
+
+/// Application-level retry of EMS commands, on top of the protocol
+/// client's frame retransmissions. Timeout retries reuse the original
+/// request id (idempotency key — the EMS response cache absorbs a
+/// duplicated execution); retryable NACKs (kBusy) retry under a fresh id
+/// after backoff.
+constexpr int kCommandMaxAttempts = 3;  ///< total tries per command
+constexpr SimTime kCommandBaseBackoff = seconds(2);
+constexpr double kCommandBackoffMultiplier = 2.0;
+constexpr SimTime kCommandMaxBackoff = seconds(30);
+constexpr double kCommandJitter = 0.25;  ///< uniform +/- fraction of a delay
+
+/// EMS-restart alarm -> reconciliation audit, after this settle delay.
+constexpr SimTime kResyncDelay = seconds(5);
+/// Audit retry cadence while command trains are still in flight, and how
+/// many times to re-check before giving up (the next restart alarm
+/// re-arms it).
+constexpr SimTime kResyncRetry = seconds(5);
+constexpr int kResyncMaxDeferrals = 64;
+
 Status response_to_status(const Result<proto::Response>& r) {
   if (!r.ok()) return r.error();
   if (r.value().ok()) return Status::success();
@@ -96,8 +144,8 @@ void append_steps(StepList& dst, StepList src) {
 GriphonController::GriphonController(NetworkModel* model, Params params)
     : model_(model), params_(params), inventory_(model),
       rwa_(model, &inventory_, params.rwa),
-      failures_(&model->engine(), params.failure),
-      ems_health_(&model->engine(), params.ems_health) {
+      failures_(&model->engine()),
+      ems_health_(&model->engine(), EmsHealthTracker::Params{}) {
   client_domains_ = {
       {&model_->roadm_ems_client(), "roadm-ems"},
       {&model_->fxc_ems_client(), "fxc-ems"},
@@ -240,12 +288,11 @@ const std::string& GriphonController::domain_of(
 }
 
 SimTime GriphonController::retry_delay(int attempt) {
-  const auto& p = params_.command_retry;
-  double d = to_seconds(p.base_backoff);
-  for (int i = 1; i < attempt; ++i) d *= p.backoff_multiplier;
-  d = std::min(d, to_seconds(p.max_backoff));
-  if (p.jitter > 0.0)
-    d *= model_->engine().rng().uniform(1.0 - p.jitter, 1.0 + p.jitter);
+  double d = to_seconds(kCommandBaseBackoff);
+  for (int i = 1; i < attempt; ++i) d *= kCommandBackoffMultiplier;
+  d = std::min(d, to_seconds(kCommandMaxBackoff));
+  d *= model_->engine().rng().uniform(1.0 - kCommandJitter,
+                                      1.0 + kCommandJitter);
   return from_seconds(d);
 }
 
@@ -288,7 +335,7 @@ void GriphonController::issue_command(
           ems_health_.record_success(domain_of(client));
         const Status s = response_to_status(r);
         if (!s.ok() && command_retryable(s.error().code()) &&
-            attempt < params_.command_retry.max_attempts) {
+            attempt < kCommandMaxAttempts) {
           ++stats_.commands_retried;
           // After a timeout the command may or may not have executed:
           // retry under the SAME request id so the EMS either replays its
@@ -347,7 +394,7 @@ void GriphonController::run_steps(std::shared_ptr<StepList> train,
   state->domains.reserve(steps.size());
   for (const Step& s : steps) state->domains.push_back(domain_of(s.client));
   state->sched = std::make_unique<DagScheduler>(
-      state->dag.get(), state->domains, params_.dag_domain_window);
+      state->dag.get(), state->domains, kDagDomainWindow);
   state->run_start = model_->engine().now();
   state->report.started_at_s = to_seconds(state->run_start);
   state->report.steps.resize(steps.size());
@@ -369,8 +416,7 @@ void GriphonController::pump_dag(const std::shared_ptr<RunState>& state) {
     // Batch window: sweep every other ready stateless sibling on the same
     // EMS into this dialogue — they pay the management overhead once.
     std::vector<std::size_t> members{i};
-    if (params_.batch_commands &&
-        std::holds_alternative<proto::PowerBalance>(step.forward)) {
+    if (std::holds_alternative<proto::PowerBalance>(step.forward)) {
       auto peers = state->sched->drain_ready(
           state->domains[i], [&](std::size_t j) {
             return (*state->steps)[j].client == step.client &&
@@ -947,8 +993,7 @@ void GriphonController::finish_setup(ConnectionId id, Status status,
         plan_uses_any(c->plan, failures_.believed_failed())) {
       const ConnectionId cid = id;
       mark_failed(*c);
-      if (c->protection == ProtectionMode::kRestorable &&
-          params_.auto_restore)
+      if (c->protection == ProtectionMode::kRestorable)
         enqueue_restoration(cid);
     }
     cb(id);
@@ -970,9 +1015,8 @@ void GriphonController::setup_wavelength(ConnectionId id, SetupCallback cb) {
   if (telemetry::Telemetry* t = model_->telemetry())
     think_span =
         t->span_start("path_computation", "controller", 0, c.setup_span);
-  const SimTime think = params_.path_computation.sample(model_->engine().rng());
-  model_->engine().schedule(think, [this, id, think_span,
-                                    cb = std::move(cb)]() mutable {
+  model_->engine().schedule(kPathComputation, [this, id, think_span,
+                                               cb = std::move(cb)]() mutable {
     Connection* c = find_conn(id);
     if (c == nullptr) return;
     auto plan = rwa_.plan(c->src_pop, c->dst_pop, c->rate);
@@ -1495,7 +1539,7 @@ void GriphonController::on_links_failed(
             !plan_uses_any(other, believed);
         if (other_ok) {
           const ConnectionId cid = id;
-          model_->engine().schedule(params_.roll_hit, [this, cid]() {
+          model_->engine().schedule(kRollHit, [this, cid]() {
             Connection* c = find_conn(cid);
             if (c == nullptr || c->state != ConnectionState::kFailed) return;
             c->traffic_on_standby = !c->traffic_on_standby;
@@ -1505,8 +1549,7 @@ void GriphonController::on_links_failed(
                   "connection " + std::to_string(cid.value()), cid);
           });
         }
-      } else if (c.protection == ProtectionMode::kRestorable &&
-                 params_.auto_restore) {
+      } else if (c.protection == ProtectionMode::kRestorable) {
         enqueue_restoration(id);
       }
     } else {
@@ -1535,8 +1578,7 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
         if (c.deprovisioned) {
           // A failed restoration attempt already released this path's
           // devices: light alone is not service; re-provision now.
-          if (c.protection == ProtectionMode::kRestorable &&
-              params_.auto_restore)
+          if (c.protection == ProtectionMode::kRestorable)
             enqueue_restoration(id);
         } else {
           // Light returns on the repaired fiber; devices never
@@ -1550,7 +1592,7 @@ void GriphonController::on_links_repaired(const std::vector<LinkId>& links) {
             c.traffic_on_standby ? c.plan : *c.standby;
         if (!plan_uses_any(other, believed)) {
           const ConnectionId cid = id;
-          model_->engine().schedule(params_.roll_hit, [this, cid]() {
+          model_->engine().schedule(kRollHit, [this, cid]() {
             Connection* cc = find_conn(cid);
             if (cc == nullptr || cc->state != ConnectionState::kFailed)
               return;
@@ -1648,13 +1690,11 @@ void GriphonController::pump_restorations() {
 void GriphonController::backlog_restoration(ConnectionId id,
                                             const std::string& why) {
   Connection* c = find_conn(id);
-  if (c == nullptr || c->protection != ProtectionMode::kRestorable ||
-      !params_.auto_restore)
-    return;
+  if (c == nullptr || c->protection != ProtectionMode::kRestorable) return;
   BacklogEntry& e = restore_backlog_[id];
   ++e.attempts;
   const std::uint64_t gen = ++e.generation;
-  if (e.attempts > params_.restoration.max_timed_retries) {
+  if (e.attempts > kMaxTimedRestoreRetries) {
     // Timed retries exhausted: go dormant. Only an external event — a
     // repair, a capacity-freeing teardown or roll — re-arms this entry,
     // so a permanently unroutable connection cannot keep the event loop
@@ -1685,14 +1725,6 @@ void GriphonController::backlog_restoration(ConnectionId id,
     enqueue_restoration(id);
   });
   update_restoration_gauges();
-}
-
-SimTime GriphonController::restoration_retry_delay(int attempt) const {
-  // Deterministic (no jitter): chaos soaks compare digests across runs.
-  double delay = to_seconds(params_.restoration.retry_base);
-  for (int i = 1; i < attempt; ++i)
-    delay *= params_.restoration.retry_multiplier;
-  return std::min(params_.restoration.retry_max, from_seconds(delay));
 }
 
 void GriphonController::kick_restoration_backlog(bool reset_attempts) {
@@ -1789,10 +1821,9 @@ void GriphonController::restore_wavelength(ConnectionId id,
     std::uint64_t replan_span = 0;
     if (telemetry::Telemetry* t = model_->telemetry())
       replan_span = t->span_start("replan", "controller", 0, c->op_span);
-    const SimTime think =
-        params_.path_computation.sample(model_->engine().rng());
-    model_->engine().schedule(think, [this, id, done, close_restore,
-                                      replan_span]() {
+    model_->engine().schedule(kPathComputation, [this, id, done,
+                                                 close_restore,
+                                                 replan_span]() {
       Connection* c = find_conn(id);
       if (c == nullptr || c->state != ConnectionState::kRestoring) {
         if (telemetry::Telemetry* t = model_->telemetry())
@@ -1853,11 +1884,9 @@ void GriphonController::restore_wavelength(ConnectionId id,
         // complete, each one kicking the backlog this failure is about
         // to enter.
         if (plan.error().code() == ErrorCode::kResourceExhausted &&
-            c->tier == ServiceTier::kGold &&
-            params_.restoration.preempt_bod_for_gold && preemption_hook_) {
+            c->tier == ServiceTier::kGold && preemption_hook_) {
           BacklogEntry& e = restore_backlog_[id];
-          if (e.preemptions <
-              params_.restoration.max_preemptions_per_connection) {
+          if (e.preemptions < kMaxPreemptionsPerConnection) {
             ++e.preemptions;
             ++stats_.preemptions_requested;
             const std::size_t freed = preemption_hook_(
@@ -2054,9 +2083,9 @@ void GriphonController::roll_to_plan(ConnectionId id,
     }
     // Roll: the NTE bridges the client signal to both paths; the receive
     // side selects the new one. The service hit is tens of milliseconds.
-    model_->engine().schedule(params_.roll_hit, [this, id, new_plan, steps,
-                                                 roll_span,
-                                                 cb = std::move(cb)]() mutable {
+    model_->engine().schedule(kRollHit, [this, id, new_plan, steps,
+                                         roll_span,
+                                         cb = std::move(cb)]() mutable {
       Connection* c = find_conn(id);
       if (c == nullptr) return;
       if (c->state != ConnectionState::kRolling) {
@@ -2084,19 +2113,19 @@ void GriphonController::roll_to_plan(ConnectionId id,
       const WavelengthPlan old_plan = c->plan;
       c->plan = new_plan;
       ++c->rolls;
-      c->roll_hit_total += params_.roll_hit;
+      c->roll_hit_total += kRollHit;
       ++stats_.rolls_ok;
       if (telemetry::Telemetry* t = model_->telemetry()) {
         // The roll itself: the sub-second traffic hit, recorded in
         // hindsight now that the receive side has selected the new path.
         t->span_record("roll", "controller", 0, c->op_span,
-                       t->now() - params_.roll_hit, t->now());
+                       t->now() - kRollHit, t->now());
         t->metrics()
             .histogram("griphon_controller_roll_hit_seconds",
                        "Traffic hit while rolling between bridged paths",
                        {0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
                         1.0})
-            ->observe(to_seconds(params_.roll_hit));
+            ->observe(to_seconds(kRollHit));
       }
       // Re-patch the FXCs to the new OTs (hitless, signal already rolled),
       // then release the old path.
@@ -2200,8 +2229,8 @@ void GriphonController::bridge_and_roll(ConnectionId id,
     cb(Status{ErrorCode::kConflict, "controller: connection not active"});
     return;
   }
-  const SimTime think = params_.path_computation.sample(model_->engine().rng());
-  model_->engine().schedule(think, [this, id, avoid, cb = std::move(cb)]() mutable {
+  model_->engine().schedule(kPathComputation, [this, id, avoid,
+                                               cb = std::move(cb)]() mutable {
     Connection* c = find_conn(id);
     if (c == nullptr || !c->is_up()) {
       cb(Status{ErrorCode::kConflict, "controller: connection went away"});
@@ -2452,15 +2481,13 @@ void GriphonController::schedule_resync() {
   if (resync_scheduled_) return;
   resync_scheduled_ = true;
   resync_attempts_ = 0;
-  model_->engine().schedule(params_.resync_delay,
-                            [this]() { try_auto_resync(); });
+  model_->engine().schedule(kResyncDelay, [this]() { try_auto_resync(); });
 }
 
 void GriphonController::try_auto_resync() {
   if (!quiescent()) {
-    if (++resync_attempts_ < params_.resync_max_deferrals) {
-      model_->engine().schedule(params_.resync_retry,
-                                [this]() { try_auto_resync(); });
+    if (++resync_attempts_ < kResyncMaxDeferrals) {
+      model_->engine().schedule(kResyncRetry, [this]() { try_auto_resync(); });
     } else {
       // Never went quiet; stand down. The next restart alarm re-arms us.
       resync_scheduled_ = false;

@@ -11,11 +11,14 @@
 // immediately and completes through a callback once the EMS command
 // sequence has finished on the simulated network. Command trains run on a
 // dependency DAG by default: steps carry explicit ordering edges from the
-// builders, independent commands overlap under a bounded per-EMS-domain
-// window, and same-domain stateless commands coalesce into one batched
-// dialogue. `ExecMode::kSequential` reproduces the 2011 testbed behaviour
-// (one dialogue at a time — this is what makes setup take 60-70 s) on the
-// same executor, by chaining every step to the one before it.
+// builders, independent commands overlap under a per-EMS-domain window of
+// 4 dialogues, and same-domain stateless commands coalesce into one
+// batched dialogue. `ExecMode::kSequential` reproduces the 2011 testbed
+// behaviour (one dialogue at a time — this is what makes setup take
+// 60-70 s) on the same executor, by chaining every step to the one before
+// it. The controller's other operating values (path computation 500 ms,
+// roll hit 50 ms, command retry and resync cadence) are constants in
+// controller.cpp.
 #pragma once
 
 #include <functional>
@@ -46,24 +49,6 @@ class GriphonController {
   struct Params {
     RwaEngine::Params rwa{};
     ExecMode exec_mode = ExecMode::kDag;
-    /// kDag: max dialogues in flight per EMS domain.
-    std::size_t dag_domain_window = 4;
-    /// kDag: coalesce ready same-domain stateless commands (power
-    /// balancing) into one batched dialogue paying one overhead.
-    bool batch_commands = true;
-    FailureManager::Params failure{};
-    /// Route computation time inside the controller.
-    LatencyModel path_computation =
-        LatencyModel::fixed(milliseconds(500));
-    /// Distributed shared-mesh restoration of one ODU circuit (done by the
-    /// OTN switches themselves, not by EMS commands).
-    LatencyModel otn_restoration =
-        LatencyModel::normal(milliseconds(120), milliseconds(60),
-                             milliseconds(15));
-    /// Traffic hit when rolling between bridged paths.
-    SimTime roll_hit = milliseconds(50);
-    /// Restore wavelength connections automatically on failure.
-    bool auto_restore = true;
 
     /// Restoration-storm pipeline (DESIGN.md §17). Failed restorable
     /// connections drain from a tier-ordered queue; up to
@@ -71,48 +56,18 @@ class GriphonController {
     /// serial pump), each admitted against its dominant EMS domain so a
     /// storm cannot stampede one EMS past its circuit breaker. A failed
     /// attempt lands in a persistent retry backlog with exponential
-    /// backoff; after `max_timed_retries` the entry goes dormant and only
-    /// an external event (repair, capacity-freeing teardown or roll)
-    /// re-arms it — so the event loop always drains.
+    /// backoff (10 s doubling, capped at 300 s); after 6 timed retries
+    /// the entry goes dormant and only an external event (repair,
+    /// capacity-freeing teardown or roll) re-arms it — so the event loop
+    /// always drains. A gold restoration out of wavelengths may preempt
+    /// best-effort BoD windows, at most 2 rounds per connection. These
+    /// operating values are constants in controller.cpp.
     struct RestorationPolicy {
       std::size_t max_concurrent = 1;
       /// Restorations in flight against one EMS domain at once.
       std::size_t per_domain_inflight = 4;
-      int max_timed_retries = 6;
-      SimTime retry_base = seconds(10);
-      double retry_multiplier = 2.0;
-      SimTime retry_max = seconds(300);
-      /// Gold restorations out of wavelengths may preempt best-effort BoD
-      /// calendar windows (via the preemption hook) to free channels.
-      bool preempt_bod_for_gold = true;
-      /// Preemption rounds one connection may trigger before it has to
-      /// wait for organic capacity.
-      int max_preemptions_per_connection = 2;
     };
     RestorationPolicy restoration{};
-
-    /// Application-level retry of EMS commands, on top of the protocol
-    /// client's frame retransmissions. Timeout retries reuse the original
-    /// request id (idempotency key — the EMS response cache absorbs a
-    /// duplicated execution); retryable NACKs (kBusy) retry under a fresh
-    /// id after backoff.
-    struct RetryPolicy {
-      int max_attempts = 3;  ///< total tries per command
-      SimTime base_backoff = seconds(2);
-      double backoff_multiplier = 2.0;
-      SimTime max_backoff = seconds(30);
-      double jitter = 0.25;  ///< uniform +/- fraction of each delay
-    };
-    RetryPolicy command_retry{};
-    /// Per-EMS-domain circuit breaker (consecutive-timeout trip).
-    EmsHealthTracker::Params ems_health{};
-    /// EMS-restart alarm -> reconciliation audit, after this settle delay.
-    SimTime resync_delay = seconds(5);
-    /// Audit retry cadence while command trains are still in flight, and
-    /// how many times to re-check before giving up (the next restart alarm
-    /// re-arms it).
-    SimTime resync_retry = seconds(5);
-    int resync_max_deferrals = 64;
   };
 
   using SetupCallback = std::function<void(Result<ConnectionId>)>;
@@ -383,7 +338,6 @@ class GriphonController {
   /// Record a failed attempt in the retry backlog: exponential backoff
   /// while timed retries remain, dormant (event-driven only) after.
   void backlog_restoration(ConnectionId id, const std::string& why);
-  [[nodiscard]] SimTime restoration_retry_delay(int attempt) const;
   /// Clear the storm flag once the pipeline has fully drained.
   void maybe_clear_storm();
   void update_restoration_gauges();

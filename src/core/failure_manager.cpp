@@ -4,6 +4,17 @@
 
 namespace griphon::core {
 
+namespace {
+
+/// Alarm correlation window.
+constexpr SimTime kHolddown = milliseconds(2500);
+/// A window localizing at least this many links is a storm even without
+/// SRLG confirmation (a wide uncorrelated burst stresses the restoration
+/// pipeline exactly like a conduit cut does).
+constexpr std::size_t kStormLinkThreshold = 4;
+
+}  // namespace
+
 void FailureManager::ingest(const Alarm& alarm) {
   ++ingested_;
   if (telemetry_ != nullptr)
@@ -23,7 +34,7 @@ void FailureManager::ingest(const Alarm& alarm) {
       if (!failure_window_open_) {
         failure_window_open_ = true;
         failure_window_opened_at_ = engine_->now();
-        engine_->schedule(params_.holddown, [this]() {
+        engine_->schedule(kHolddown, [this]() {
           failure_window_open_ = false;
           correlate_failures();
         });
@@ -33,7 +44,7 @@ void FailureManager::ingest(const Alarm& alarm) {
       pending_clear_[*alarm.link].insert(alarm.source);
       if (!repair_window_open_) {
         repair_window_open_ = true;
-        engine_->schedule(params_.holddown, [this]() {
+        engine_->schedule(kHolddown, [this]() {
           repair_window_open_ = false;
           correlate_repairs();
         });
@@ -67,7 +78,7 @@ FailureManager::FailureEvent FailureManager::classify(
     if (group_size >= 2) correlated = true;
   }
   event.storm =
-      correlated || event.links.size() >= params_.storm_link_threshold;
+      correlated || event.links.size() >= kStormLinkThreshold;
   return event;
 }
 

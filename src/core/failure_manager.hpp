@@ -37,7 +37,7 @@ class FailureManager {
   /// shared-risk groups among the links (links without a group count as a
   /// conduit of their own); `storm` is set when the event is correlated —
   /// an SRLG group lost two or more links at once, or the window
-  /// collapsed at least `Params::storm_link_threshold` links.
+  /// collapsed at least 4 links (`kStormLinkThreshold`).
   struct FailureEvent {
     std::vector<LinkId> links;
     std::size_t conduits = 0;
@@ -52,16 +52,7 @@ class FailureManager {
   /// group (no storm classification by conduit).
   using SrlgResolver = std::function<std::vector<LinkId>(LinkId)>;
 
-  struct Params {
-    SimTime holddown = milliseconds(2500);  ///< alarm correlation window
-    /// A window localizing at least this many links is a storm even
-    /// without SRLG confirmation (a wide uncorrelated burst stresses the
-    /// restoration pipeline exactly like a conduit cut does).
-    std::size_t storm_link_threshold = 4;
-  };
-
-  FailureManager(sim::Engine* engine, Params params)
-      : engine_(engine), params_(params) {}
+  explicit FailureManager(sim::Engine* engine) : engine_(engine) {}
 
   void on_failure(FailureHandler handler) {
     failure_handler_ = std::move(handler);
@@ -102,7 +93,6 @@ class FailureManager {
   [[nodiscard]] FailureEvent classify(std::vector<LinkId> links) const;
 
   sim::Engine* engine_;
-  Params params_;
   FailureHandler failure_handler_;
   RepairHandler repair_handler_;
   SrlgResolver srlg_resolver_;

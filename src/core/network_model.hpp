@@ -60,8 +60,6 @@ class NetworkModel {
     std::size_t otn_client_ports = 16;    ///< per OTN switch
     bool with_otn = true;
     ems::EmsLatencyProfile ems_profile = ems::EmsLatencyProfile::testbed_2011();
-    proto::ControlChannel::Params channel_params{};
-    dwdm::ReachModel::Params reach{};
   };
 
   NetworkModel(sim::Engine* engine, topology::Graph graph, Config config);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
@@ -211,9 +212,7 @@ std::string render_dag(const StepDagReport& report) {
   for (std::size_t i = 0; i < report.steps.size(); ++i) {
     const DagStepRecord& s = report.steps[i];
     out << (s.critical ? '*' : ' ') << (s.batched ? 'B' : ' ');
-    char idx[8];
-    std::snprintf(idx, sizeof idx, "%3zu ", i);
-    out << idx;
+    out << std::setw(3) << i << ' ';
     // Timeline bar: offset + extent in run time.
     std::string bar(kBarWidth, '.');
     if (s.end_s >= 0.0 && s.start_s >= 0.0) {

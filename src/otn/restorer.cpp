@@ -1,8 +1,17 @@
 #include "otn/restorer.hpp"
 
+#include "common/rng.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace griphon::otn {
+
+namespace {
+
+/// Per-circuit failover signaling + switch fabric time.
+const LatencyModel kActivation = LatencyModel::normal(
+    milliseconds(40), milliseconds(110), milliseconds(25));
+
+}  // namespace
 
 void MeshRestorer::link_failed(LinkId link) {
   const SimTime failed_at = engine_->now();
@@ -10,7 +19,7 @@ void MeshRestorer::link_failed(LinkId link) {
   for (const OduCircuitId id : affected) {
     const auto& c = layer_->circuit(id);
     if (!c.is_protected) continue;
-    const SimTime delay = params_.activation.sample(engine_->rng());
+    const SimTime delay = kActivation.sample(engine_->rng());
     engine_->schedule(delay, [this, id, failed_at]() {
       // The circuit may have been released or repaired meanwhile.
       Status status{ErrorCode::kNotFound, "restorer: circuit gone"};

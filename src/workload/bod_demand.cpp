@@ -4,6 +4,16 @@
 
 namespace griphon::workload {
 
+namespace {
+
+/// Deadline = now + slack x ideal duration at kReferenceRate, with the
+/// slack drawn uniformly from [kMinSlack, kMaxSlack].
+constexpr double kMinSlack = 1.5;
+constexpr double kMaxSlack = 6.0;
+constexpr DataRate kReferenceRate = rates::k10G;
+
+}  // namespace
+
 void BulkDemandGenerator::run_until(SimTime until) {
   schedule_next(until);
 }
@@ -24,8 +34,8 @@ void BulkDemandGenerator::schedule_next(SimTime until) {
         rng.uniform(std::log(static_cast<double>(params_.min_bytes)),
                     std::log(static_cast<double>(params_.max_bytes)));
     const auto bytes = static_cast<std::int64_t>(std::exp(log_bytes));
-    const SimTime ideal = transfer_time(bytes, params_.reference_rate);
-    const double slack = rng.uniform(params_.min_slack, params_.max_slack);
+    const SimTime ideal = transfer_time(bytes, kReferenceRate);
+    const double slack = rng.uniform(kMinSlack, kMaxSlack);
     bod::TransferScheduler::TransferRequest req;
     req.customer = ep.customer;
     req.src_site = ep.src;

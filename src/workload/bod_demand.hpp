@@ -22,10 +22,6 @@ class BulkDemandGenerator {
     double arrivals_per_hour = 6.0;
     std::int64_t min_bytes = 500LL * 1'000'000'000;    ///< 0.5 TB
     std::int64_t max_bytes = 20'000LL * 1'000'000'000;  ///< 20 TB
-    /// Deadline = now + slack x ideal duration at `reference_rate`.
-    double min_slack = 1.5;
-    double max_slack = 6.0;
-    DataRate reference_rate = rates::k10G;
     bod::Priority priority = bod::Priority::kBestEffortBulk;
     /// (customer, src, dst) triples demand is drawn from uniformly; the
     /// customer must have a portal registered with the scheduler.

@@ -398,13 +398,13 @@ TEST(Scheduler, PartialSplitPlanIsRejectedAndRolledBack) {
   // piece 2, and the half-plan must be released — not silently accepted
   // as a "complete" transfer carrying half the volume.
   ASSERT_TRUE(cal.reserve(CustomerId{99}, {s.topo.i_iii}, rates::k10G,
-                          {SimTime{}, cp.horizon})
+                          {SimTime{}, ReservationCalendar::kHorizon})
                   .ok());
   ASSERT_TRUE(cal.reserve(CustomerId{99}, {s.topo.i_ii}, rates::k10G,
-                          {SimTime{}, cp.horizon})
+                          {SimTime{}, ReservationCalendar::kHorizon})
                   .ok());
   ASSERT_TRUE(cal.reserve(CustomerId{99}, {s.topo.i_iv}, rates::k10G,
-                          {minutes(10), cp.horizon})
+                          {minutes(10), ReservationCalendar::kHorizon})
                   .ok());
   const auto before = cal.active_reservations();
 

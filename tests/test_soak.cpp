@@ -5,7 +5,8 @@
 // windows, re-grooming — then a full drain. Invariants checked at the
 // end: after every connection is released, no device in the plant holds
 // any configuration, no slots or ports leak, and the controller's books
-// balance.
+// balance. One seed runs 2000 rounds instead of 60: long enough to
+// overflow the default event ring and prove it stays at its bound.
 #include <gtest/gtest.h>
 
 #include "core/scenario.hpp"
@@ -13,24 +14,27 @@
 namespace griphon::core {
 namespace {
 
-class SoakTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SoakTest, RandomOperationsThenCleanDrain) {
+BackboneScenario::Options soak_options() {
   BackboneScenario::Options opt;
   opt.customers = 2;
   opt.sites_per_customer = 3;
   opt.quota = DataRate::gbps(500);
   opt.config.ots_per_node = 8;
   opt.config.regens_per_node = 6;
-  BackboneScenario s(GetParam(), opt);
-  Rng rng(GetParam() * 31 + 7);
+  return opt;
+}
+
+/// `rounds` random operations on `s`, then repair, drain and check that
+/// nothing leaked. Leaves the scenario drained for ring checks.
+void soak(BackboneScenario& s, std::uint64_t seed, int rounds) {
+  Rng rng(seed * 31 + 7);
 
   std::vector<std::pair<std::size_t, ConnectionId>> live;  // (customer, id)
   std::set<LinkId> cut_links;
   int setups_attempted = 0;
 
   const auto num_links = s.model->graph().links().size();
-  for (int round = 0; round < 60; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     const double dice = rng.uniform(0, 1);
     if (dice < 0.45) {
       // Connect: random customer, random distinct site pair, random rate.
@@ -135,8 +139,24 @@ TEST_P(SoakTest, RandomOperationsThenCleanDrain) {
   // Books balance: everything set up was either released or failed.
   const auto& st = s.controller->stats();
   EXPECT_EQ(st.setups_ok, st.releases);
+}
+
+class SoakTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SoakTest, RandomOperationsThenCleanDrain) {
+  BackboneScenario s(GetParam(), soak_options());
+  soak(s, GetParam(), 60);
   // The event ring held its default bound for the whole run.
   EXPECT_LE(s.model->trace().records().size(), 4096u);
+}
+
+TEST(SoakLong, DefaultRingOverflowsAndStaysBounded) {
+  // Logs more than the default ring holds (~5.1K records): with default
+  // settings the ring must evict, never grow past its bound.
+  BackboneScenario s(101, soak_options());
+  soak(s, 101, 2000);
+  EXPECT_GT(s.model->trace().dropped_count(), 0u);
+  EXPECT_EQ(s.model->trace().records().size(), sim::Trace::kDefaultCapacity);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SoakTest,

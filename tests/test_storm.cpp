@@ -1,6 +1,7 @@
 // Restoration-storm engine tests: SRLG-correlated failure classification,
 // SRLG-diverse replanning (with the explicit non-diverse fallback), the
-// capacity-exhausted retry backlog re-armed by teardowns, gold
+// capacity-exhausted retry backlog re-armed by teardowns, the backlog's
+// retry ladder (timed retries, dormancy, re-arm on repair), gold
 // preemption of best-effort BoD calendar windows, and a fixed-seed
 // failure-storm soak that must drain deterministically with zero leaks.
 #include <gtest/gtest.h>
@@ -181,6 +182,95 @@ TEST(StormRestoration, CapacityExhaustedThenTeardownRearmsBacklog) {
   EXPECT_GE(controller.stats().restorations_retried, 1u);
   EXPECT_EQ(controller.restoration_backlog_depth(), 0u);
   EXPECT_EQ(controller.inventory().reservations(), 0u);
+}
+
+TEST(StormRestoration, UnroutableRestorationFollowsTheRetryLadder) {
+  // The restoration backlog's operating values, read back from the ring:
+  // a restorable wave whose only fiber is cut retries at 10, 20, 40, 80,
+  // 160 and 300 s, goes dormant after the 6th timed retry (no timer, so
+  // the event loop drains), and a repair re-arms it from retry #1.
+  sim::Engine engine(204);
+  topology::Graph g;
+  const auto a = g.add_node("a");
+  const auto b = g.add_node("b");
+  const auto c = g.add_node("c");
+  const auto l_ab = g.add_link(a, b, Distance::km(50));
+  const auto l_ac = g.add_link(a, c, Distance::km(50));  // spur, off-route
+
+  NetworkModel::Config cfg;
+  cfg.with_otn = false;
+  NetworkModel model(&engine, std::move(g), cfg);
+  const auto sa = model.add_customer_site(CustomerId{1}, "A", a).nte;
+  const auto sb = model.add_customer_site(CustomerId{1}, "B", b).nte;
+  GriphonController controller(&model, GriphonController::Params{});
+  CustomerPortal portal(&controller, CustomerId{1}, DataRate::gbps(100));
+  std::optional<ConnectionId> id;
+  portal.connect(sa, sb, rates::k10G, ProtectionMode::kRestorable,
+                 [&](Result<ConnectionId> r) {
+                   if (r.ok()) id = r.value();
+                 });
+  engine.run();
+  ASSERT_TRUE(id.has_value());
+
+  // Backlog records for the connection, from `since` on: the time each
+  // was written and the retry delay it announces ("retry #k in Ds: ...").
+  struct Retry {
+    SimTime at;
+    int number;
+    double delay_s;
+  };
+  const auto retries_since = [&](SimTime since) {
+    std::vector<Retry> out;
+    for (const sim::TraceRecord& r : model.trace().records()) {
+      if (r.event != "restore-backlog" || r.when < since) continue;
+      const auto hash = r.detail.find('#');
+      const auto in = r.detail.find(" in ", hash);
+      EXPECT_NE(hash, std::string::npos) << r.detail;
+      EXPECT_NE(in, std::string::npos) << r.detail;
+      if (hash == std::string::npos || in == std::string::npos) continue;
+      out.push_back(Retry{r.when, std::stoi(r.detail.substr(hash + 1)),
+                          std::stod(r.detail.substr(in + 4))});
+    }
+    return out;
+  };
+
+  const SimTime cut_at = engine.now();
+  model.fail_link(l_ab);
+  model.fail_link(l_ac);
+  engine.run();  // must drain: the exhausted entry arms no timer
+
+  const std::vector<double> ladder{10, 20, 40, 80, 160, 300};
+  const auto first = retries_since(cut_at);
+  ASSERT_EQ(first.size(), ladder.size());
+  for (std::size_t k = 0; k < ladder.size(); ++k) {
+    EXPECT_EQ(first[k].number, static_cast<int>(k) + 1);
+    EXPECT_DOUBLE_EQ(first[k].delay_s, ladder[k]);
+    // The next failed attempt lands one delay (plus the attempt itself,
+    // well under a minute) after this record.
+    if (k + 1 < first.size()) {
+      const double gap = to_seconds(first[k + 1].at - first[k].at);
+      EXPECT_GE(gap, ladder[k]);
+      EXPECT_LT(gap, ladder[k] + 60.0);
+    }
+  }
+  EXPECT_EQ(model.trace().count("restore-backlog-dormant"), 1u);
+  EXPECT_EQ(controller.connection(*id).state, ConnectionState::kFailed);
+  EXPECT_EQ(controller.restoration_backlog_depth(), 1u);
+  const std::size_t retried = controller.stats().restorations_retried;
+  EXPECT_EQ(retried, ladder.size());
+
+  // Repairing the spur leaves the wave unroutable, but a repair is the
+  // external event that re-arms a dormant entry, attempts reset.
+  const SimTime repair_at = engine.now();
+  model.repair_link(l_ac);
+  engine.run();
+  const auto rearmed = retries_since(repair_at);
+  ASSERT_EQ(rearmed.size(), ladder.size());
+  EXPECT_EQ(rearmed.front().number, 1);
+  EXPECT_DOUBLE_EQ(rearmed.front().delay_s, ladder.front());
+  EXPECT_EQ(model.trace().count("restore-backlog-dormant"), 2u);
+  EXPECT_GT(controller.stats().restorations_retried, retried);
+  EXPECT_EQ(controller.restoration_backlog_depth(), 1u);
 }
 
 TEST(StormRestoration, GoldRestorationPreemptsBestEffortWindow) {

@@ -58,6 +58,15 @@ Checks (DESIGN.md §10):
                    reads it>`. State is owner-thread by default (DESIGN.md
                    §15); a lock must name the second thread that reads
                    the data it guards.
+  unset-option     Every member of a `Params`, `Config` or `Options` struct
+                   declared in src/ (members of nested structs included)
+                   must be assigned somewhere outside its own component
+                   (src/<component>/): in another component, a test, a
+                   bench, an example or perfbench. A value no caller sets
+                   is not a knob; make it a named constant next to the
+                   code that uses it (DESIGN.md §10). Matching is by
+                   member name: `.name =`, `->name =`, or a chain such as
+                   `.name.field =`.
 
 Usage:
     tools/griphon_lint.py [--report griphon_lint_report.txt] [paths...]
@@ -654,6 +663,123 @@ def check_owner_thread(findings: list[Finding]) -> None:
                 findings.append(f)
 
 
+# --- unset-option -----------------------------------------------------------
+
+OPTION_STRUCT_RE = re.compile(
+    r"\bstruct\s+(?P<name>Params|Config|Options)\s*\{")
+NESTED_STRUCT_RE = re.compile(r"^\s*struct\s+\w+\s*$")
+# Where a caller may set an option: everything that builds against src/.
+OPTION_SETTER_DIRS = SOURCE_DIRS + ("perfbench",)
+# `.name =`, `->name =` or a chain such as `.name.field =` (not `==`).
+SETTER_CHAIN_RE = re.compile(r"(?P<chain>(?:(?:\.|->)\s*\w+\s*)+)=(?!=)")
+
+
+def matching_brace(text: str, open_pos: int) -> int:
+    """Index of the '}' closing the '{' at open_pos (comment-stripped text)."""
+    depth = 0
+    for i in range(open_pos, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text) - 1
+
+
+def strip_template_args(decl: str) -> str:
+    out: list[str] = []
+    depth = 0
+    for c in decl:
+        if c == "<":
+            depth += 1
+        elif c == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(c)
+    return "".join(out)
+
+
+def option_members(text: str, body_start: int,
+                   body_end: int) -> list[tuple[str, int]]:
+    """(name, offset) of every data member declared in text[body_start:
+    body_end], recursing into nested struct bodies. Member functions,
+    type aliases, static members and enums are skipped."""
+    members: list[tuple[str, int]] = []
+    i = body_start
+    stmt_start = body_start
+    while i < body_end:
+        c = text[i]
+        if c == "{":
+            close = matching_brace(text, i)
+            head = text[stmt_start:i]
+            if NESTED_STRUCT_RE.match(head):
+                members += option_members(text, i + 1, close)
+            elif "(" in strip_template_args(head.split("=")[0]):
+                # A member function body: no trailing ';' follows.
+                stmt_start = close + 1
+            i = close + 1
+            continue
+        if c == ";":
+            stmt = text[stmt_start:i]
+            decl = strip_template_args(re.split(r"=|\{", stmt)[0]).strip()
+            first = decl.split()[0] if decl.split() else ""
+            if (decl and "(" not in decl and first not in (
+                    "using", "static", "friend", "enum", "typedef",
+                    "struct", "class")):
+                m = re.search(r"(\w+)\s*(?:\[[^\]]*\])?\s*$", decl)
+                if m:
+                    at = re.search(r"\b" + m.group(1) + r"\b", stmt)
+                    members.append((m.group(1), stmt_start + at.start()))
+            stmt_start = i + 1
+        i += 1
+    return members
+
+
+def component_of(path: str) -> str:
+    """src/<component> for library files; the file's own path otherwise."""
+    parts = os.path.relpath(path, REPO_ROOT).split(os.sep)
+    return os.path.join(*parts[:2]) if parts[0] == "src" else parts[0]
+
+
+def check_unset_option(findings: list[Finding]) -> None:
+    declared: list[tuple[str, str, int, str]] = []  # path, struct, line, name
+    for path in repo_files(("src",), (".cpp", ".hpp")):
+        with open(path, encoding="utf-8") as fh:
+            text = strip_comments(fh.read())
+        for m in OPTION_STRUCT_RE.finditer(text):
+            open_pos = m.end() - 1
+            for name, pos in option_members(text, open_pos + 1,
+                                            matching_brace(text, open_pos)):
+                declared.append((path, m.group("name"),
+                                 line_of(text, pos), name))
+    if not declared:
+        return
+    # component -> member names it assigns; `p.a.b = x` assigns a and b.
+    assigned: dict[str, set[str]] = {}
+    for path in repo_files(OPTION_SETTER_DIRS, (".cpp", ".hpp")):
+        with open(path, encoding="utf-8") as fh:
+            text = strip_comments(fh.read())
+        names = assigned.setdefault(component_of(path), set())
+        for m in SETTER_CHAIN_RE.finditer(text):
+            names.update(re.findall(r"\w+", m.group("chain")))
+    for path, struct, line, name in declared:
+        own = component_of(path)
+        if any(name in names for component, names in assigned.items()
+               if component != own):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+        f = Finding(
+            path, line, "unset-option",
+            f"{struct} member `{name}` is set by no caller outside "
+            f"{own} — make it a named constant next to the code that "
+            "uses it (DESIGN.md §10)",
+        )
+        if not allowed(raw_lines, f):
+            findings.append(f)
+
+
 # --- self-test --------------------------------------------------------------
 
 # (fixture source, relative path, check, expected finding count). Each bad
@@ -699,6 +825,26 @@ SELF_TEST_FIXTURES = (
         "owner-thread",
         2,  # unjustified allow-comments stay fatal
     ),
+    (
+        "#pragma once\nstruct Widget {\n  struct Params {\n"
+        "    int set_outside = 1;\n    int set_inside_only = 2;\n"
+        "    struct Nested {\n      double deep_unset = 0.5;\n    };\n"
+        "    Nested nested{};\n"
+        "    int waived = 3;  // griphon-lint: allow(unset-option) fixture\n"
+        "    static constexpr int kConstant = 4;\n"
+        "    int helper() const { return set_outside; }\n"
+        "    using Alias = int;\n  };\n};\n",
+        os.path.join("src", "core", "fixture_options.hpp"),
+        "unset-option",
+        2,  # set_inside_only (own component only) + the nested deep_unset
+        {
+            os.path.join("src", "core", "fixture_options.cpp"):
+                "void f(Widget::Params& p) { p.set_inside_only = 5; }\n",
+            os.path.join("tests", "fixture_options_test.cpp"):
+                "void g(Widget::Params& p) {\n  p.set_outside = 7;\n"
+                "  p.nested = {};\n}\n",
+        },
+    ),
 )
 
 
@@ -720,13 +866,16 @@ def self_test() -> int:
             "mutable-global": check_mutable_global,
             "guarded-member": check_guarded_member,
             "owner-thread": check_owner_thread,
+            "unset-option": check_unset_option,
         }
-        for source, rel, check, expected in SELF_TEST_FIXTURES:
-            case_dir = os.path.join(tmp, os.path.dirname(rel))
-            os.makedirs(case_dir, exist_ok=True)
-            fixture = os.path.join(tmp, rel)
-            with open(fixture, "w", encoding="utf-8") as fh:
-                fh.write(source)
+        for source, rel, check, expected, *extra in SELF_TEST_FIXTURES:
+            files = {rel: source, **(extra[0] if extra else {})}
+            for frel, fsource in files.items():
+                os.makedirs(os.path.join(tmp, os.path.dirname(frel)),
+                            exist_ok=True)
+                with open(os.path.join(tmp, frel), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(fsource)
             findings: list[Finding] = []
             check_fns[check](findings)
             got = sum(1 for f in findings if f.check == check)
@@ -735,7 +884,8 @@ def self_test() -> int:
                 failures += 1
             print(f"self-test [{check}] expected {expected} got {got}: "
                   f"{status}")
-            os.remove(fixture)
+            for frel in files:
+                os.remove(os.path.join(tmp, frel))
         # raw-sync must stay quiet on the wrapper header itself.
         exempt_dir = os.path.join(tmp, "src", "common")
         os.makedirs(exempt_dir, exist_ok=True)
@@ -771,6 +921,7 @@ CHECKS = {
     "mutable-global": check_mutable_global,
     "guarded-member": check_guarded_member,
     "owner-thread": check_owner_thread,
+    "unset-option": check_unset_option,
 }
 
 
