@@ -40,7 +40,8 @@ struct Window {
 class ReservationCalendar {
  public:
   struct Params {
-    SimTime slot = minutes(5);  ///< slot width; windows round out to slots
+    /// Slot width; windows round out to slots.
+    SimTime slot = minutes(5);  // griphon-lint: allow(unset-option) test_bod Calendar.EarliestFeasibleSkipsPastBlockedSlots: two-minute gaps between windows are found only with slots narrower than the default
     /// Capacity budget per link unless overridden via set_link_capacity.
     DataRate default_link_capacity = DataRate::gbps(40);
   };

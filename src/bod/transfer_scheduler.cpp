@@ -18,8 +18,15 @@ constexpr std::uint64_t kAccessLinkBase = std::uint64_t{1} << 40;
 /// Base retry delay after a failed bundle setup; attempt n waits n x this.
 constexpr SimTime kSetupRetryBackoff = seconds(30);
 constexpr int kMaxSetupRetries = 3;
-/// Open-breaker deferrals (Params::unavailable_defer each) per piece.
+/// A setup refused with kUnavailable (an EMS circuit breaker is open) is
+/// *deferred* — parked for this long without consuming a retry, since
+/// hammering a dead EMS cannot succeed — at most kMaxUnavailableDefers
+/// times per piece.
+constexpr SimTime kUnavailableDefer = seconds(60);
 constexpr int kMaxUnavailableDefers = 20;
+/// Split a transfer into at most this many pieces when a single window
+/// cannot meet the deadline.
+constexpr int kMaxPieces = 2;
 
 }  // namespace
 
@@ -177,7 +184,7 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
   std::string last_error;
   SimTime best_single_end{};
   bool fully_planned = false;
-  for (int n = 1; n <= std::max(1, params_.max_pieces); ++n) {
+  for (int n = 1; n <= kMaxPieces; ++n) {
     roll_back();
     const std::int64_t share = request.bytes / n;
     bool planned = true;
@@ -214,7 +221,7 @@ Result<TransferId> TransferScheduler::submit(const TransferRequest& request) {
       fully_planned = true;  // this plan meets the deadline
       break;
     }
-    if (n == std::max(1, params_.max_pieces)) {
+    if (n == kMaxPieces) {
       roll_back();
       std::string msg =
           "scheduler: no schedule meets the deadline; earliest achievable "
@@ -355,7 +362,7 @@ void TransferScheduler::on_setup_result(TransferId id,
     count("griphon_bod_setup_deferrals_total",
           "Bundle setups deferred on an open EMS circuit breaker",
           t.customer);
-    engine_->schedule(params_.unavailable_defer,
+    engine_->schedule(kUnavailableDefer,
                       [this, id, piece_index, epoch] {
                         const auto it2 = transfers_.find(id);
                         if (it2 == transfers_.end()) return;

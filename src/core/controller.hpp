@@ -18,9 +18,12 @@
 // 60-70 s) on the same executor, by chaining every step to the one before
 // it. The controller's other operating values (path computation 500 ms,
 // roll hit 50 ms, command retry and resync cadence) are constants in
-// controller.cpp.
+// controller_internal.hpp and next to the code that uses them. The
+// implementation is split along its seams into controller*.cpp files
+// (DESIGN.md §3 has the file map).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -79,7 +82,9 @@ class GriphonController {
   /// Set up a connection; the callback fires when traffic can flow (or the
   /// setup failed and was rolled back).
   void request_connection(const ConnectionRequest& request, SetupCallback cb);
-  /// Tear a connection down; callback fires when all resources are freed.
+  /// Tear a connection down; callback fires when all resources are freed,
+  /// with success once the record is kReleased (a best-effort command that
+  /// failed is counted in Stats::teardown_command_errors instead).
   void release_connection(ConnectionId id, DoneCallback cb);
 
   [[nodiscard]] const Connection& connection(ConnectionId id) const;
@@ -229,8 +234,11 @@ class GriphonController {
     std::size_t setups_ok = 0;
     std::size_t setups_failed = 0;
     std::size_t releases = 0;
-    std::size_t restorations_ok = 0;
-    std::size_t restorations_failed = 0;
+    /// Best-effort teardown commands that failed. A release still ends
+    /// kReleased and reports success; the errors are counted here.
+    std::size_t teardown_command_errors = 0;
+    std::size_t restorations_ok = 0;  ///< wavelength + OTN mesh
+    std::size_t restorations_failed = 0;  ///< attempts, both layers
     std::size_t restorations_retried = 0;     ///< backlog retry launches
     std::size_t restorations_non_diverse = 0; ///< SRLG-diverse plan fallback
     std::size_t preemptions_requested = 0;    ///< hook invocations
@@ -304,6 +312,23 @@ class GriphonController {
                                           DataRate rate,
                                           std::uint64_t parent_span);
 
+  /// Plan bring-up, the one path that lights a wavelength plan (setup, the
+  /// 1+1 standby leg, restoration, the roll bridge, carrier grooming):
+  /// admit the plan optically (an event under `admit_span`), reserve it,
+  /// call `admitted()`, build and run the setup train, and release the
+  /// reservation when the train lands. `admitted()` takes the operation
+  /// over once the plan is in (state, spans) and returns the span the
+  /// train runs under plus the continuation, which gets the train's
+  /// status, the train and its succeeded steps — so a failed or
+  /// superseded bring-up can be rolled back. Returns the admission
+  /// verdict; a rejected plan reserves and runs nothing and `admitted` is
+  /// not called. Defined in controller_internal.hpp.
+  template <typename Admitted>
+  [[nodiscard]] Status bring_up(const Connection& c,
+                                const WavelengthPlan& plan,
+                                bool include_access,
+                                std::uint64_t admit_span, Admitted admitted);
+
   // Plan -> command sequences.
   [[nodiscard]] StepList build_wavelength_setup(const Connection& c,
                                                 const WavelengthPlan& plan,
@@ -311,8 +336,22 @@ class GriphonController {
   [[nodiscard]] StepList build_wavelength_teardown(
       const Connection& c, const WavelengthPlan& plan,
       bool include_access) const;
-  [[nodiscard]] StepList build_access_setup(const Connection& c,
-                                            const WavelengthPlan& plan) const;
+  /// Which way an access train runs.
+  enum class AccessOp : std::uint8_t {
+    kSetup,     ///< NTE ports up, then each end's cross-connect
+    kTeardown,  ///< cross-connects down, then each end's NTE port
+    kRepatch,   ///< re-point an end's cross-connect; NTE ports untouched
+  };
+  /// Customer access plumbing at both ends of `c`, appended to `steps` —
+  /// the one place the FXC access wiring is looked up. An end's access
+  /// channel lands on the client port of `ots[end]`, or on the OTN switch
+  /// client port of c's ODU circuit when that id is invalid (kRepatch
+  /// skips such an end instead). On kTeardown, `after` (if given) names
+  /// the step each end's cross-connect waits for, and each NTE port waits
+  /// for its cross-connect; without it the steps carry no edges.
+  void append_access(StepList& steps, const Connection& c, AccessOp op,
+                     const std::array<TransponderId, 2>& ots = {},
+                     const std::array<std::size_t, 2>* after = nullptr) const;
 
   // Reservation bookkeeping around a plan.
   void reserve_plan(const WavelengthPlan& plan);
@@ -320,7 +359,8 @@ class GriphonController {
 
   // Setup flows.
   void setup_wavelength(ConnectionId id, SetupCallback cb);
-  void setup_subwavelength(ConnectionId id, SetupCallback cb);
+  /// The 1+1 protection leg, SRLG- and node-disjoint from the working one.
+  void setup_standby(ConnectionId id, SetupCallback cb);
   void send_otn_create(ConnectionId id, SetupCallback cb, bool allow_groom);
   void setup_subwavelength_access(ConnectionId id, SetupCallback cb);
   void finish_setup(ConnectionId id, Status status, SetupCallback cb);
@@ -334,13 +374,15 @@ class GriphonController {
   void enqueue_restoration(ConnectionId id);
   void pump_restorations();
   void restore_wavelength(ConnectionId id, std::function<void()> done);
-  void restore_subwavelength(ConnectionId id);
   /// Record a failed attempt in the retry backlog: exponential backoff
   /// while timed retries remain, dormant (event-driven only) after.
   void backlog_restoration(ConnectionId id, const std::string& why);
   /// Clear the storm flag once the pipeline has fully drained.
   void maybe_clear_storm();
   void update_restoration_gauges();
+  /// 1+1 tail-end switch onto the other leg after the roll hit; a switch
+  /// `on_failure` counts as a restoration, a switch back home does not.
+  void switch_legs(ConnectionId id, bool on_failure);
   void mark_failed(Connection& c);
   void mark_recovered(Connection& c);
 
@@ -357,10 +399,20 @@ class GriphonController {
   [[nodiscard]] StepList build_expected_steps() const;
   [[nodiscard]] StepList expected_steps_for(const Connection& c) const;
 
-  [[nodiscard]] Connection& conn(ConnectionId id);
   [[nodiscard]] Connection* find_conn(ConnectionId id);
   [[nodiscard]] Result<std::size_t> pick_free_nte_port(MuxponderId nte);
   void release_nte_port(MuxponderId nte, std::size_t port);
+  /// Outcomes counted both in Stats and as a telemetry counter twin.
+  enum class Outcome : std::uint8_t {
+    kSetupOk, kSetupFailed, kRelease, kTeardownCommandError,
+    kRestorationOk, kRestorationFailed, kRestorationRetried,
+    kRestorationNonDiverse, kBodWindowPreempted, kRollOk, kRollFailed,
+    kResyncRun, kResyncLeak, kResyncDrift
+  };
+  /// The one place an outcome is counted: adds `n` to its Stats field and,
+  /// with telemetry attached, to its metric twin — and to the twin's
+  /// per-customer series when `customer` is valid.
+  void count(Outcome outcome, std::size_t n = 1, CustomerId customer = {});
   /// One ring record per transition; a connection's records carry its
   /// telemetry_tag so they line up with its spans.
   void trace(sim::TraceLevel level, const std::string& event,

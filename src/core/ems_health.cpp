@@ -10,7 +10,7 @@ bool EmsHealthTracker::allow(const std::string& domain) {
     case BreakerState::kClosed:
       return true;
     case BreakerState::kOpen:
-      if (engine_->now() - d.opened_at < params_.open_cooldown) {
+      if (engine_->now() - d.opened_at < kOpenCooldown) {
         ++stats_.fast_failures;
         return false;
       }
@@ -43,7 +43,7 @@ void EmsHealthTracker::record_timeout(const std::string& domain) {
   d.probe_in_flight = false;
   if (d.state == BreakerState::kHalfOpen ||
       (d.state == BreakerState::kClosed &&
-       d.consecutive_timeouts >= params_.failure_threshold))
+       d.consecutive_timeouts >= kFailureThreshold))
     open_breaker(domain, d);
 }
 

@@ -25,17 +25,14 @@ namespace griphon::core {
 
 class EmsHealthTracker {
  public:
-  struct Params {
-    /// Consecutive transport timeouts that trip the breaker open.
-    int failure_threshold = 3;
-    /// Open -> half-open after this cooldown (one probe admitted).
-    SimTime open_cooldown = seconds(45);
-  };
+  /// Consecutive transport timeouts that trip the breaker open.
+  static constexpr int kFailureThreshold = 3;
+  /// Open -> half-open after this cooldown (one probe admitted).
+  static constexpr SimTime kOpenCooldown = seconds(45);
 
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-  EmsHealthTracker(sim::Engine* engine, Params params)
-      : engine_(engine), params_(params) {}
+  explicit EmsHealthTracker(sim::Engine* engine) : engine_(engine) {}
 
   /// May a command be issued to `domain` right now? False while the
   /// breaker is open (callers fail fast with kUnavailable). In half-open
@@ -77,7 +74,6 @@ class EmsHealthTracker {
   void gauge_set(const std::string& name, double value);
 
   sim::Engine* engine_;
-  Params params_;
   std::map<std::string, Domain> domains_;
   Stats stats_;
   telemetry::Telemetry* telemetry_ = nullptr;

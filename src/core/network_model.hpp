@@ -55,7 +55,8 @@ class NetworkModel {
     std::size_t ots_per_node = 8;         ///< 10G tunable OT pool per site
     std::size_t ots_40g_per_node = 0;     ///< 40G OT pool per site
     std::size_t regens_per_node = 2;      ///< 10G regen pool per site
-    std::size_t regens_40g_per_node = 0;  ///< 40G regen pool per site
+    /// 40G regen pool per site.
+    std::size_t regens_40g_per_node = 0;  // griphon-lint: allow(unset-option) test_extensions FortyGig.ReachIsShorterAtFortyGig: a 40G route past reach needs 40G regens
     std::size_t fxc_ports_per_node = 64;
     std::size_t otn_client_ports = 16;    ///< per OTN switch
     bool with_otn = true;

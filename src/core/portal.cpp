@@ -24,6 +24,29 @@ void count_reject(GriphonController* controller, CustomerId customer,
         ->inc();
 }
 
+/// Wait before asking again to release a part that is busy.
+constexpr SimTime kBusyReleaseRetry = seconds(30);
+
+/// Release one part of a bundle. A part busy with a restoration or a roll
+/// refuses the release (kBusy); nothing else owns the part once its bundle
+/// is gone, so ask again until it is released, or `done` gets another
+/// error.
+void release_part(GriphonController* controller, ConnectionId part,
+                  GriphonController::DoneCallback done) {
+  controller->release_connection(
+      part, [controller, part, done = std::move(done)](Status s) mutable {
+        if (!s.ok() && s.error().code() == ErrorCode::kBusy) {
+          controller->model().engine().schedule(
+              kBusyReleaseRetry,
+              [controller, part, done = std::move(done)]() mutable {
+                release_part(controller, part, std::move(done));
+              });
+          return;
+        }
+        done(s);
+      });
+}
+
 }  // namespace
 
 CustomerPortal::CustomerPortal(GriphonController* controller,
@@ -164,8 +187,8 @@ void CustomerPortal::connect_bundle(MuxponderId src_site,
       }
       const ConnectionId id = st->bundle.parts.back();
       st->bundle.parts.pop_back();
-      st->portal->controller_->release_connection(
-          id, [st, error](Status) { unwind(st, error); });
+      release_part(st->portal->controller_, id,
+                   [st, error](Status) { unwind(st, error); });
     }
   };
   Driver::step(state);
@@ -186,11 +209,10 @@ void CustomerPortal::disconnect_bundle(BundleId id, DoneCallback cb) {
     return;
   }
   for (const ConnectionId part : *parts) {
-    controller_->release_connection(
-        part, [remaining, first_error, cb](Status s) {
-          if (!s.ok() && first_error->ok()) *first_error = s;
-          if (--*remaining == 0) cb(*first_error);
-        });
+    release_part(controller_, part, [remaining, first_error, cb](Status s) {
+      if (!s.ok() && first_error->ok()) *first_error = s;
+      if (--*remaining == 0) cb(*first_error);
+    });
   }
 }
 

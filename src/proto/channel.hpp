@@ -60,8 +60,8 @@ class ChannelFaultHook {
 class ControlChannel {
  public:
   struct Params {
-    LatencyModel latency = LatencyModel::fixed(milliseconds(5));
-    double loss_probability = 0.0;
+    LatencyModel latency = LatencyModel::fixed(milliseconds(5));  // griphon-lint: allow(unset-option) test_proto Channel.FifoEvenWithJitter: jittered latency reaches the FIFO clamp
+    double loss_probability = 0.0;  // griphon-lint: allow(unset-option) test_proto Channel.LossDropsFrames, RequestClient.RetriesOnLossAndRecovers: the frame-loss and retransmit paths
   };
 
   ControlChannel(sim::Engine* engine, Params params);

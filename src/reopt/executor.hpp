@@ -40,9 +40,9 @@ namespace griphon::reopt {
 class MigrationExecutor {
  public:
   struct Params {
-    std::size_t max_concurrent_rolls = 2;
+    std::size_t max_concurrent_rolls = 2;  // griphon-lint: allow(unset-option) test_reopt ReoptCampaign.AbortsCleanlyOnFiberCut (1: one roll at a time) and ExecutorHonorsFreedByDependencies (4: ordering by freed-by edges, not by the window)
     /// Minimum sim-time spacing between roll launches.
-    SimTime launch_spacing = seconds(1);
+    SimTime launch_spacing = seconds(1);  // griphon-lint: allow(unset-option) test_reopt ReoptCampaign.AbortsCleanlyOnFiberCut: a cut lands between two launches only with wide spacing
   };
 
   enum class MoveResult {

@@ -43,7 +43,7 @@ class ReoptService {
     double trip_threshold = 0.3;  ///< mean fragmentation score tripping a run
     std::size_t min_moves = 1;    ///< don't campaign for fewer moves
     std::size_t max_moves_per_campaign = 64;
-    MigrationExecutor::Params executor{};
+    MigrationExecutor::Params executor{};  // griphon-lint: allow(unset-option) test_reopt ReoptCampaign.*: the executor's kept fields (see MigrationExecutor::Params)
     /// Demand pairs probed for stranded capacity (typically the DC sites).
     std::vector<std::pair<NodeId, NodeId>> pairs;
   };

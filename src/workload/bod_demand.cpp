@@ -11,6 +11,9 @@ namespace {
 constexpr double kMinSlack = 1.5;
 constexpr double kMaxSlack = 6.0;
 constexpr DataRate kReferenceRate = rates::k10G;
+/// Volume bounds of the log-uniform draw.
+constexpr std::int64_t kMinBytes = 500LL * 1'000'000'000;     // 0.5 TB
+constexpr std::int64_t kMaxBytes = 20'000LL * 1'000'000'000;  // 20 TB
 
 }  // namespace
 
@@ -26,13 +29,13 @@ void BulkDemandGenerator::schedule_next(SimTime until) {
   engine_->schedule(gap, [this, until] {
     ++stats_.offered;
     Rng& rng = engine_->rng();
-    const auto& ep = params_.endpoints[static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(params_.endpoints.size()) - 1))];
+    const auto& ep = endpoints_[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(endpoints_.size()) - 1))];
     // Volumes span orders of magnitude ("terabytes to petabytes"); a
     // log-uniform draw keeps both ends of the range represented.
     const double log_bytes =
-        rng.uniform(std::log(static_cast<double>(params_.min_bytes)),
-                    std::log(static_cast<double>(params_.max_bytes)));
+        rng.uniform(std::log(static_cast<double>(kMinBytes)),
+                    std::log(static_cast<double>(kMaxBytes)));
     const auto bytes = static_cast<std::int64_t>(std::exp(log_bytes));
     const SimTime ideal = transfer_time(bytes, kReferenceRate);
     const double slack = rng.uniform(kMinSlack, kMaxSlack);

@@ -3,7 +3,7 @@
 // Generates the paper's §1 workload — "background, non-interactive, bulk
 // data transfers" of terabytes with business deadlines — as a Poisson
 // arrival stream of TransferScheduler requests: random site pair, a volume
-// drawn log-uniformly between configured bounds, and a deadline set to a
+// drawn log-uniformly between 0.5 and 20 TB, and a deadline set to a
 // multiple of the transfer's ideal duration at the reference rate (the
 // slack factor controls how tight the deadlines are, i.e. how contended
 // the calendar gets).
@@ -20,17 +20,14 @@ class BulkDemandGenerator {
  public:
   struct Params {
     double arrivals_per_hour = 6.0;
-    std::int64_t min_bytes = 500LL * 1'000'000'000;    ///< 0.5 TB
-    std::int64_t max_bytes = 20'000LL * 1'000'000'000;  ///< 20 TB
     bod::Priority priority = bod::Priority::kBestEffortBulk;
-    /// (customer, src, dst) triples demand is drawn from uniformly; the
-    /// customer must have a portal registered with the scheduler.
-    struct Endpoint {
-      CustomerId customer;
-      MuxponderId src;
-      MuxponderId dst;
-    };
-    std::vector<Endpoint> endpoints;
+  };
+  /// A (customer, src, dst) triple demand is drawn from; the customer must
+  /// have a portal registered with the scheduler.
+  struct Endpoint {
+    CustomerId customer;
+    MuxponderId src;
+    MuxponderId dst;
   };
 
   struct Stats {
@@ -39,9 +36,11 @@ class BulkDemandGenerator {
     std::size_t rejected = 0;
   };
 
+  /// Demand is drawn uniformly from `endpoints` (at least one).
   BulkDemandGenerator(sim::Engine* engine, bod::TransferScheduler* scheduler,
-                      Params params)
-      : engine_(engine), scheduler_(scheduler), params_(std::move(params)) {}
+                      std::vector<Endpoint> endpoints, Params params)
+      : engine_(engine), scheduler_(scheduler),
+        endpoints_(std::move(endpoints)), params_(params) {}
 
   /// Start generating arrivals until `until` (simulated time).
   void run_until(SimTime until);
@@ -57,6 +56,7 @@ class BulkDemandGenerator {
 
   sim::Engine* engine_;
   bod::TransferScheduler* scheduler_;
+  std::vector<Endpoint> endpoints_;
   Params params_;
   Stats stats_;
   std::vector<TransferId> accepted_;

@@ -388,7 +388,6 @@ TEST(Scheduler, PartialSplitPlanIsRejectedAndRolledBack) {
   TransferScheduler::Params params;
   params.rate_ladder = {rates::k10G};
   params.setup_pad = minutes(2);
-  params.max_pieces = 2;
   TransferScheduler sched(s.controller.get(), &cal, &adm, params);
   sched.register_portal(s.portal.get());
 
@@ -594,10 +593,9 @@ TEST(BulkDemand, GeneratesAcceptedTransfers) {
 
   workload::BulkDemandGenerator::Params p;
   p.arrivals_per_hour = 4;
-  p.min_bytes = 100'000'000'000;
-  p.max_bytes = 2'000'000'000'000;
-  p.endpoints = {{s.csp, s.site_i, s.site_iv}, {s.csp, s.site_i, s.site_iii}};
-  workload::BulkDemandGenerator demand(&s.engine, &sched, p);
+  workload::BulkDemandGenerator demand(
+      &s.engine, &sched,
+      {{s.csp, s.site_i, s.site_iv}, {s.csp, s.site_i, s.site_iii}}, p);
   demand.run_until(hours(12));
   s.engine.run();
 

@@ -141,10 +141,7 @@ TEST(Injector, ArmDisarmIsLoggedAndIdempotent) {
 
 TEST(EmsHealth, BreakerLifecycle) {
   sim::Engine engine;
-  core::EmsHealthTracker::Params p;
-  p.failure_threshold = 3;
-  p.open_cooldown = seconds(45);
-  core::EmsHealthTracker hb(&engine, p);
+  core::EmsHealthTracker hb(&engine);
 
   // Closed: everything admitted; a success resets the timeout run.
   EXPECT_TRUE(hb.allow("roadm-ems"));
@@ -617,12 +614,16 @@ bod::AdmissionController::CustomerPolicy soak_policy() {
 struct SoakOutcome {
   std::string digest;
   bool ran = false;
+  std::size_t ring_records = 0;  ///< event-ring records held at the end
+  std::size_t ring_dropped = 0;  ///< records the bounded ring evicted
 };
 
-/// One full-stack run: portal traffic + deadline transfers under an armed
-/// fault plan, then disarm, heal, drain, audit. Returns a digest of every
-/// observable counter so two same-seed runs can be compared bit-for-bit.
-SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
+/// One full-stack run: `rounds` of portal traffic + deadline transfers
+/// under an armed fault plan, then disarm, heal, drain, audit. Returns a
+/// digest of every observable counter so two same-seed runs can be
+/// compared bit-for-bit.
+SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan,
+                           int rounds = 30) {
   SoakOutcome out;
   core::TestbedScenario s(seed);
   telemetry::Telemetry tel(&s.engine);
@@ -643,7 +644,6 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
   adm.set_policy(s.csp, soak_policy());
   bod::TransferScheduler::Params sp;
   sp.setup_pad = minutes(8);
-  sp.unavailable_defer = seconds(30);
   bod::TransferScheduler sched(s.controller.get(), &cal, &adm, sp);
   sched.register_portal(s.portal.get());
   {
@@ -672,7 +672,7 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
   // Mixed foreground traffic while the faults fire.
   Rng rng(seed * 31 + 7);
   std::vector<ConnectionId> live;
-  for (int round = 0; round < 30; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     if (round == 10) submit(0, 1, 250'000'000'000, s.engine.now() + hours(3));
     const double dice = rng.uniform(0, 1);
     if (dice < 0.45) {
@@ -814,6 +814,8 @@ SoakOutcome run_chaos_soak(std::uint64_t seed, const FaultPlan& plan) {
   s.model->attach_telemetry(nullptr);
   out.digest = d.str();
   out.ran = true;
+  out.ring_records = s.model->trace().records().size();
+  out.ring_dropped = s.model->trace().dropped_count();
   return out;
 }
 
@@ -834,6 +836,19 @@ INSTANTIATE_TEST_SUITE_P(Plans, ChaosSoak,
                          ::testing::Values("ems-flaps", "channel-loss",
                                            "device-faults", "combined",
                                            "conduit-cut", "failure-storm"));
+
+TEST(ChaosSoakLong, DefaultRingOverflowsAndStaysBounded) {
+  // Faults armed for long enough to log more than the default ring holds:
+  // the ring must evict at its bound, and the plant must still drain
+  // clean (run_chaos_soak checks that). "combined" is left to the short
+  // soak above, which exports its trace.
+  const auto plan = FaultPlan::preset("failure-storm");
+  ASSERT_TRUE(plan.ok());
+  const SoakOutcome out = run_chaos_soak(4321, plan.value(), 400);
+  ASSERT_TRUE(out.ran);
+  EXPECT_GT(out.ring_dropped, 0u);
+  EXPECT_EQ(out.ring_records, sim::Trace::kDefaultCapacity);
+}
 
 // --- bridge-and-roll under faults -------------------------------------------
 

@@ -5,7 +5,7 @@
 // windows, re-grooming — then a full drain. Invariants checked at the
 // end: after every connection is released, no device in the plant holds
 // any configuration, no slots or ports leak, and the controller's books
-// balance. One seed runs 2000 rounds instead of 60: long enough to
+// balance. One seed runs 4000 rounds instead of 60: long enough to
 // overflow the default event ring and prove it stays at its bound.
 #include <gtest/gtest.h>
 
@@ -154,7 +154,7 @@ TEST(SoakLong, DefaultRingOverflowsAndStaysBounded) {
   // Logs more than the default ring holds (~5.1K records): with default
   // settings the ring must evict, never grow past its bound.
   BackboneScenario s(101, soak_options());
-  soak(s, 101, 2000);
+  soak(s, 101, 4000);
   EXPECT_GT(s.model->trace().dropped_count(), 0u);
   EXPECT_EQ(s.model->trace().records().size(), sim::Trace::kDefaultCapacity);
 }

@@ -7,12 +7,14 @@
 // span tree tiles the end-to-end setup duration exactly, a fiber cut
 // decomposes into detect → localize → replan → reprovision, and every
 // metric the instrumented layers register conforms to the naming scheme
-// (this doubles as the CI name-scheme check).
+// (this doubles as the CI name-scheme check), and every controller Stats
+// field with a metric twin agrees with it.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "telemetry/telemetry.hpp"
@@ -392,6 +394,85 @@ TEST(TelemetryIntegration, RestorationDecomposesIntoPhases) {
   ASSERT_NE(restored, nullptr);
   EXPECT_GE(restored->value(), 1u);
   EXPECT_TRUE(tel.metrics().invalid_names().empty());
+}
+
+// --- Stats and their metric twins --------------------------------------------
+
+TEST(ControllerTelemetry, StatsAndCountersAgree) {
+  // Every controller outcome is counted once, in Stats and in its metric
+  // twin together; drive each kind of outcome and compare the two books.
+  core::TestbedScenario s(31);
+  Telemetry tel(&s.engine);
+  s.model->attach_telemetry(&tel);
+
+  std::vector<ConnectionId> ids;
+  const auto connect = [&](MuxponderId a, MuxponderId b, DataRate rate) {
+    s.portal->connect(a, b, rate, core::ProtectionMode::kRestorable,
+                      [&](Result<ConnectionId> r) {
+                        if (r.ok()) ids.push_back(r.value());
+                      });
+    s.engine.run();
+  };
+  connect(s.site_i, s.site_iv, rates::k10G);
+  connect(s.site_i, s.site_iii, rates::k10G);
+  connect(s.site_iii, s.site_iv, rates::k1G);
+  ASSERT_EQ(ids.size(), 3u);
+
+  // A roll that lands, then one that finds no route at all.
+  std::optional<Status> rolled;
+  s.controller->bridge_and_roll(ids[0], {},
+                                [&](Status st) { rolled = st; });
+  s.engine.run();
+  ASSERT_TRUE(rolled.has_value() && rolled->ok());
+  core::Exclusions everything;
+  for (const auto& l : s.model->graph().links()) everything.links.insert(l.id);
+  rolled.reset();
+  s.controller->bridge_and_roll(ids[0], everything,
+                                [&](Status st) { rolled = st; });
+  s.engine.run();
+  ASSERT_TRUE(rolled.has_value() && !rolled->ok());
+
+  // A cut the restoration pipeline recovers from, then an audit.
+  s.model->fail_link(s.controller->connection(ids[1]).plan.path.links.front());
+  s.engine.run();
+  std::optional<Result<core::GriphonController::ResyncReport>> audit;
+  s.controller->resync([&](auto r) { audit = r; });
+  s.engine.run();
+  ASSERT_TRUE(audit.has_value() && audit->ok());
+
+  for (const ConnectionId id : ids) s.portal->disconnect(id, [](Status) {});
+  s.engine.run();
+
+  const auto counter = [&](const char* name) -> std::size_t {
+    const Counter* c = tel.metrics().find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  const auto& st = s.controller->stats();
+  EXPECT_EQ(st.rolls_ok, 1u);
+  EXPECT_EQ(st.rolls_failed, 1u);
+  EXPECT_GE(st.restorations_ok, 1u);
+  EXPECT_EQ(st.releases, 3u);
+  EXPECT_EQ(st.setups_ok, counter("griphon_controller_setups_ok_total"));
+  EXPECT_EQ(st.setups_failed,
+            counter("griphon_controller_setups_failed_total"));
+  EXPECT_EQ(st.releases, counter("griphon_controller_releases_total"));
+  EXPECT_EQ(st.teardown_command_errors,
+            counter("griphon_controller_teardown_command_errors_total"));
+  EXPECT_EQ(st.restorations_ok,
+            counter("griphon_controller_restorations_ok_total"));
+  EXPECT_EQ(st.restorations_failed,
+            counter("griphon_controller_restorations_failed_total"));
+  EXPECT_EQ(st.restorations_retried,
+            counter("griphon_restoration_retries_total"));
+  EXPECT_EQ(st.restorations_non_diverse,
+            counter("griphon_restoration_non_diverse_total"));
+  EXPECT_EQ(st.bod_windows_preempted,
+            counter("griphon_restoration_preemptions_total"));
+  EXPECT_EQ(st.rolls_ok, counter("griphon_controller_rolls_ok_total"));
+  EXPECT_EQ(st.rolls_failed, counter("griphon_controller_rolls_failed_total"));
+  EXPECT_EQ(st.resync_runs, counter("griphon_controller_resync_runs_total"));
+  EXPECT_EQ(st.resync_leaks, counter("griphon_controller_resync_leaks_total"));
+  EXPECT_EQ(st.resync_drift, counter("griphon_controller_resync_drift_total"));
 }
 
 }  // namespace

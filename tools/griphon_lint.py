@@ -61,12 +61,14 @@ Checks (DESIGN.md §10):
   unset-option     Every member of a `Params`, `Config` or `Options` struct
                    declared in src/ (members of nested structs included)
                    must be assigned somewhere outside its own component
-                   (src/<component>/): in another component, a test, a
-                   bench, an example or perfbench. A value no caller sets
-                   is not a knob; make it a named constant next to the
-                   code that uses it (DESIGN.md §10). Matching is by
-                   member name: `.name =`, `->name =`, or a chain such as
-                   `.name.field =`.
+                   (src/<component>/): in another component, a bench, an
+                   example or perfbench. Tests do not count: a value no
+                   caller sets is not a knob; make it a named constant
+                   next to the code that uses it (DESIGN.md §10). A field
+                   a test needs at another value to reach a code path
+                   stays, waived with allow(unset-option) naming that
+                   test and path. Matching is by member name: `.name =`,
+                   `->name =`, or a chain such as `.name.field =`.
 
 Usage:
     tools/griphon_lint.py [--report griphon_lint_report.txt] [paths...]
@@ -668,8 +670,9 @@ def check_owner_thread(findings: list[Finding]) -> None:
 OPTION_STRUCT_RE = re.compile(
     r"\bstruct\s+(?P<name>Params|Config|Options)\s*\{")
 NESTED_STRUCT_RE = re.compile(r"^\s*struct\s+\w+\s*$")
-# Where a caller may set an option: everything that builds against src/.
-OPTION_SETTER_DIRS = SOURCE_DIRS + ("perfbench",)
+# Where a caller may set an option: everything that builds against src/
+# except the tests (a value only a test sets is not a knob).
+OPTION_SETTER_DIRS = ("src", "bench", "examples", "perfbench")
 # `.name =`, `->name =` or a chain such as `.name.field =` (not `==`).
 SETTER_CHAIN_RE = re.compile(r"(?P<chain>(?:(?:\.|->)\s*\w+\s*)+)=(?!=)")
 
@@ -840,9 +843,23 @@ SELF_TEST_FIXTURES = (
         {
             os.path.join("src", "core", "fixture_options.cpp"):
                 "void f(Widget::Params& p) { p.set_inside_only = 5; }\n",
-            os.path.join("tests", "fixture_options_test.cpp"):
+            os.path.join("bench", "fixture_options_bench.cpp"):
                 "void g(Widget::Params& p) {\n  p.set_outside = 7;\n"
                 "  p.nested = {};\n}\n",
+        },
+    ),
+    (
+        "#pragma once\nstruct Gadget {\n  struct Config {\n"
+        "    int test_only = 1;\n"
+        "    int test_path = 2;  // griphon-lint: allow(unset-option) "
+        "fixture test reaches a path\n  };\n};\n",
+        os.path.join("src", "core", "fixture_test_setter.hpp"),
+        "unset-option",
+        1,  # test_only: a setter under tests/ does not count
+        {
+            os.path.join("tests", "fixture_test_setter_test.cpp"):
+                "void h(Gadget::Config& c) {\n  c.test_only = 3;\n"
+                "  c.test_path = 4;\n}\n",
         },
     ),
 )
